@@ -47,7 +47,6 @@ from .measurement import (
     condition_homodyne,
     double_homodyne_condition,
     homodyne_density,
-    homodyne_povm_wigner,
     sample_double_homodyne,
     sample_homodyne,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "fidelity_coherent",
     "gauss_hermite_grid",
     "homodyne_density",
-    "homodyne_povm_wigner",
     "is_physical",
     "marginal",
     "moments_fock",

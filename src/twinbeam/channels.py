@@ -25,10 +25,10 @@ class LossChannel:
     thermal_photons: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_t < 0:
-            raise ValueError("gamma_t must be nonnegative")
-        if self.thermal_photons < 0:
-            raise ValueError("thermal_photons must be nonnegative")
+        if not 0.0 <= self.gamma_t < math.inf:
+            raise ValueError("gamma_t must be finite and nonnegative")
+        if not 0.0 <= self.thermal_photons < math.inf:
+            raise ValueError("thermal_photons must be finite and nonnegative")
 
     @property
     def transmission(self) -> float:
@@ -67,7 +67,7 @@ def effective_kappa_contribution(r: float, channel: LossChannel) -> float:
     Equals e^{-gamma_t - 2r} + (2M + 1)(1 - e^{-gamma_t}): four times the
     variance of the damped twin-beam difference quadrature.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and nonnegative")
     t = channel.transmission
     return t * math.exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -344,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path, or stdout")
         p.add_argument("--spec", default=None, help="JSON file of parameters")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (u64)")
 
     p_rp = sub.add_parser("remote-prep", help="heralded-state parameter sweep")
     p_rp.add_argument("--r", default=None, help=f"squeezing; {grid_help}")
@@ -401,15 +401,18 @@ def _dispatch(args: argparse.Namespace, spec: dict):
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value such as "-2:2:50" as an option; attach values
+    # that start with a minus sign to their flag as --flag=value
+    for i in range(len(argv) - 1, 0, -1):
+        if re.match(r"-[\d.]", argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         spec = _load_spec_file(args.spec) if args.spec else {}
-        # seed is accepted on every subcommand for interface uniformity;
-        # the table paths are fully deterministic and do not consume it
-        int(_merge(args, spec, "seed", 0))
         rows, columns = _dispatch(args, spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

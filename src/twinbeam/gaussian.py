@@ -9,7 +9,12 @@ Conventions used throughout the package:
 * every Gaussian object carries an explicit scalar ``weight`` so that
   unnormalized operators (measurement elements, unconditioned outcomes)
   live in the same representation as density operators, whose Wigner
-  function is ``weight`` times a normalized multivariate normal.
+  function is ``weight`` times a normalized multivariate normal;
+* a ``mean`` of shape (..., 2n) is a family of states sharing one
+  covariance and weight.  ``displace``, ``overlap`` and ``wigner_eval``
+  broadcast over its leading axes and over arrays of amplitudes or points;
+  a 1-D mean (empty leading shape) gives plain floats.  Single-state
+  operations such as ``decompose_single_mode`` reject a family.
 """
 
 from __future__ import annotations
@@ -43,8 +48,10 @@ class GaussianOperator:
     """Gaussian-Wigner operator: weight times a normal density.
 
     Attributes:
-        mean: length-2n quadrature mean, ordered (x1, y1, ..., xn, yn).
-        cov: 2n x 2n symmetric positive-definite covariance matrix.
+        mean: quadrature means of shape (..., 2n), ordered (x1, y1, ...,
+            xn, yn); leading axes index a family of states.
+        cov: 2n x 2n symmetric positive-definite covariance matrix,
+            shared by every member of the family.
         weight: positive scalar prefactor; 1 for a normalized state.
     """
 
@@ -55,9 +62,9 @@ class GaussianOperator:
     def __post_init__(self):
         mean = _as_float_array(self.mean, "mean")
         cov = _as_float_array(self.cov, "cov")
-        if mean.ndim != 1 or mean.size == 0 or mean.size % 2 != 0:
-            raise ValueError("mean must be a 1-D vector of even length")
-        if cov.shape != (mean.size, mean.size):
+        if mean.ndim == 0 or mean.shape[-1] == 0 or mean.shape[-1] % 2 != 0:
+            raise ValueError("mean must have a last axis of even length")
+        if cov.shape != mean.shape[-1:] * 2:
             raise ValueError("cov must be square and match the mean length")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > _COV_SYMMETRY_RTOL * scale:
@@ -78,23 +85,7 @@ class GaussianOperator:
 
     @property
     def n_modes(self) -> int:
-        return self.mean.size // 2
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload: n_modes, mean, row-major cov, weight."""
-        return {
-            "n_modes": self.n_modes,
-            "mean": self.mean.tolist(),
-            "cov": self.cov.ravel().tolist(),
-            "weight": self.weight,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GaussianOperator":
-        n = int(payload["n_modes"])
-        mean = np.array(payload["mean"], dtype=float)
-        cov = np.array(payload["cov"], dtype=float).reshape(2 * n, 2 * n)
-        return cls(mean=mean, cov=cov, weight=float(payload.get("weight", 1.0)))
+        return self.mean.shape[-1] // 2
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ def _embed_single_mode(matrix: np.ndarray, mode: int, n_modes: int) -> np.ndarra
 
 def _apply_symplectic(op: GaussianOperator, s: np.ndarray) -> GaussianOperator:
     return GaussianOperator(
-        mean=s @ op.mean, cov=s @ op.cov @ s.T, weight=op.weight
+        mean=op.mean @ s.T, cov=s @ op.cov @ s.T, weight=op.weight
     )
 
 
@@ -174,6 +165,23 @@ def require_physical(op: GaussianOperator, what: str = "state") -> None:
             f"{what} violates the uncertainty bound: min symplectic "
             f"eigenvalue {nu_min:.6g} < {VACUUM_VARIANCE}"
         )
+
+
+def require_single(op: GaussianOperator, what: str = "operation") -> None:
+    """Reject a family of states where one state is needed."""
+    if op.mean.ndim != 1:
+        raise ValueError(f"{what} needs a single state, not a family of shape {op.mean.shape[:-1]}")
+
+
+def normal_density(delta, cov: np.ndarray):
+    """Normal density N(delta; 0, cov) over the leading axes of ``delta``.
+
+    ``delta`` has shape (..., d) for a d x d ``cov``; a 1-D ``delta``
+    gives a float.
+    """
+    quad = (delta @ np.linalg.inv(cov) * delta).sum(axis=-1)
+    dens = np.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
+    return float(dens) if dens.ndim == 0 else dens
 
 
 def vacuum(n_modes: int = 1) -> GaussianOperator:
@@ -223,22 +231,27 @@ def twb(r: float) -> GaussianOperator:
 
 def photon_number(r: float) -> float:
     """Mean photon number per arm of a twin beam: N = 2 sinh^2 r."""
-    return 2.0 * math.sinh(r) ** 2
+    try:
+        return 2.0 * math.sinh(r) ** 2
+    except OverflowError:
+        raise ValueError(f"photon number overflows at r={r}") from None
 
 
 def squeezing_from_photon_number(n: float) -> float:
     """Inverse of :func:`photon_number`: r = arcsinh(sqrt(N / 2))."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
+    if not 0.0 <= n < math.inf:
+        raise ValueError("photon number must be finite and nonnegative")
     return math.asinh(math.sqrt(0.5 * n))
 
 
-def displace(op: GaussianOperator, mode: int, alpha: complex) -> GaussianOperator:
-    """Displace one mode by the complex amplitude ``alpha``."""
-    block = _mode_block(mode, op.n_modes)
-    mean = op.mean.copy()
-    mean[block] += (alpha.real, alpha.imag)
-    return GaussianOperator(mean=mean, cov=op.cov, weight=op.weight)
+def displace(op: GaussianOperator, mode: int, alpha) -> GaussianOperator:
+    """Displace one mode by ``alpha``; an array of amplitudes gives a family."""
+    k = _mode_block(mode, op.n_modes).start
+    alpha = np.asarray(alpha)
+    shift = np.zeros(alpha.shape + op.mean.shape[-1:])
+    shift[..., k] = alpha.real
+    shift[..., k + 1] = alpha.imag
+    return GaussianOperator(mean=op.mean + shift, cov=op.cov, weight=op.weight)
 
 
 def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> GaussianOperator:
@@ -259,35 +272,25 @@ def rotate(op: GaussianOperator, mode: int, phi: float) -> GaussianOperator:
     return _apply_symplectic(op, s)
 
 
-def wigner_eval(op: GaussianOperator, point) -> float:
-    """Evaluate the Wigner function at one phase-space point."""
+def wigner_eval(op: GaussianOperator, point):
+    """Wigner function at one point (a float) or at points of shape (..., 2n)."""
     point = _as_float_array(point, "point")
-    if point.shape != op.mean.shape:
+    if point.shape[-1:] != op.mean.shape[-1:]:
         raise ValueError("point must match the operator's phase-space dimension")
-    delta = point - op.mean
-    sign, logdet = np.linalg.slogdet(op.cov)
-    if sign <= 0:
-        raise ValueError("cov must be positive definite")
-    quad = float(delta @ np.linalg.solve(op.cov, delta))
-    n = op.n_modes
-    return op.weight * math.exp(-0.5 * (quad + logdet)) / (2.0 * math.pi) ** n
+    return op.weight * normal_density(point - op.mean, op.cov)
 
 
-def overlap(a: GaussianOperator, b: GaussianOperator) -> float:
+def overlap(a: GaussianOperator, b: GaussianOperator):
     """Hilbert-Schmidt overlap Tr[A B] = pi^n * integral of W_A W_B.
 
     For normalized states this is the purity (a == b) or the fidelity
-    when at least one of the two is pure.
+    when at least one of the two is pure.  Families broadcast against
+    each other and give an array of overlaps.
     """
     if a.n_modes != b.n_modes:
         raise ValueError("operators must act on the same number of modes")
     total = a.cov + b.cov
-    delta = a.mean - b.mean
-    sign, logdet = np.linalg.slogdet(total)
-    if sign <= 0:
-        raise ValueError("sum of covariances must be positive definite")
-    quad = float(delta @ np.linalg.solve(total, delta))
-    return a.weight * b.weight * math.exp(-0.5 * (quad + logdet)) / 2.0 ** a.n_modes
+    return a.weight * b.weight * math.pi**a.n_modes * normal_density(a.mean - b.mean, total)
 
 
 def marginal(op: GaussianOperator, keep_modes) -> GaussianOperator:
@@ -299,7 +302,7 @@ def marginal(op: GaussianOperator, keep_modes) -> GaussianOperator:
         raise ValueError("keep_modes out of range")
     idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
     return GaussianOperator(
-        mean=op.mean[idx], cov=op.cov[np.ix_(idx, idx)], weight=op.weight
+        mean=op.mean[..., idx], cov=op.cov[np.ix_(idx, idx)], weight=op.weight
     )
 
 
@@ -322,6 +325,7 @@ def decompose_single_mode(op: GaussianOperator) -> SqueezedThermalDecomposition:
     """
     if op.n_modes != 1:
         raise ValueError("decomposition requires a single-mode operator")
+    require_single(op, "decomposition")
     require_physical(op)
     eigvals, eigvecs = np.linalg.eigh(op.cov)
     lam_min, lam_max = float(eigvals[0]), float(eigvals[1])

@@ -1,9 +1,10 @@
 """Homodyne and double-homodyne measurements on Gaussian states.
 
 Conditioning is computed with exact Gaussian identities (Schur
-complements), never by discretizing a measurement kernel; the POVM
-constructors exist so the measurement elements themselves can be
-inspected or integrated against.
+complements), never by discretizing a measurement kernel.  The
+conditional covariance does not depend on the record, so
+``double_homodyne_condition`` takes an array of records at once and
+returns the family of conditional states as one batched operator.
 
 Detector efficiency ``eta`` follows the equivalent-noise picture: an
 inefficient homodyne of a quadrature behaves like a perfect one whose
@@ -20,9 +21,9 @@ import numpy as np
 
 from .gaussian import (
     GaussianOperator,
-    _rotation_matrix,
-    displace,
+    normal_density,
     require_physical,
+    require_single,
     transpose_wigner,
 )
 
@@ -69,6 +70,7 @@ class DoubleHomodyneSetting:
     def __post_init__(self):
         if self.reference.n_modes != 1:
             raise ValueError("reference must be a single-mode state")
+        require_single(self.reference, "reference")
         require_physical(self.reference, "reference")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
@@ -81,9 +83,13 @@ class DoubleHomodyneSetting:
 
 @dataclass(frozen=True)
 class ConditionalOutcome:
-    """Result of conditioning: outcome density and the remaining state."""
+    """Result of conditioning: outcome density and the remaining state.
 
-    probability_density: float
+    For an array of records, ``probability_density`` is an array of the
+    records' shape and ``state`` the matching family of states.
+    """
+
+    probability_density: float | np.ndarray
     state: GaussianOperator
 
 
@@ -111,30 +117,9 @@ def _direction(setting: HomodyneSetting, n_modes: int) -> np.ndarray:
     return c
 
 
-def homodyne_povm_wigner(
-    setting: HomodyneSetting, outcome: float, flat_variance: float = 1e6
-) -> GaussianOperator:
-    """Gaussian surrogate for the POVM element of an outcome ``x``.
-
-    The exact element is flat along the conjugate quadrature; here that
-    direction carries the large ``flat_variance`` instead, with the weight
-    chosen so operator overlaps against it converge to the homodyne
-    density as flat_variance grows.  Requires efficiency < 1; the
-    noiseless element is a line delta with no Gaussian representation.
-    """
-    if setting.efficiency >= 1.0:
-        raise ValueError("the ideal POVM element is singular; requires efficiency < 1")
-    if flat_variance <= 0:
-        raise ValueError("flat_variance must be positive")
-    rot = _rotation_matrix(setting.phase)
-    cov = rot @ np.diag([setting.noise_variance, flat_variance]) @ rot.T
-    mean = float(outcome) * rot[:, 0]
-    weight = math.sqrt(2.0 * math.pi * flat_variance) / math.pi
-    return GaussianOperator(mean=mean, cov=cov, weight=weight)
-
-
 def homodyne_density(state: GaussianOperator, setting: HomodyneSetting) -> QuadratureDensity:
     """Outcome distribution of the homodyne record, noise included."""
+    require_single(state, "homodyne")
     require_physical(state)
     c = _direction(setting, state.n_modes)
     return QuadratureDensity(
@@ -151,6 +136,7 @@ def condition_homodyne(
     Returns the outcome density together with the normalized Gaussian
     state of the unmeasured modes.  The measured mode is traced out.
     """
+    require_single(state, "homodyne conditioning")
     require_physical(state)
     n = state.n_modes
     if n < 2:
@@ -208,20 +194,25 @@ def _double_homodyne_blocks(state: GaussianOperator, setting: DoubleHomodyneSett
 
 
 def double_homodyne_condition(
-    state: GaussianOperator, setting: DoubleHomodyneSetting, alpha: complex
+    state: GaussianOperator, setting: DoubleHomodyneSetting, alpha
 ) -> ConditionalOutcome:
     """Condition the second mode on a joint x/y record ``alpha``.
 
     The first mode of ``state`` is measured against the setting's
     reference; the density is per unit area in the complex record plane.
+    An array of records, or a family of states, broadcasts: one density
+    and one conditional state per record, all sharing one covariance.
     """
     ref_t, s_obs, gain, cov_cond = _double_homodyne_blocks(state, setting)
-    povm_mean = ref_t.mean + np.array([alpha.real, -alpha.imag])
-    shift = povm_mean - state.mean[:2]
-    sign, logdet = np.linalg.slogdet(s_obs)
-    quad = float(shift @ np.linalg.solve(s_obs, shift))
-    density = state.weight * math.exp(-0.5 * (quad + logdet)) / (2.0 * math.pi)
-    mean_cond = state.mean[2:] + gain @ shift
+    alpha = np.asarray(alpha)
+    # the POVM element is centred on the transposed reference displaced by
+    # alpha, i.e. shifted by (Re alpha, -Im alpha)
+    record = np.zeros(alpha.shape + (2,))
+    record[..., 0] = alpha.real
+    record[..., 1] = -alpha.imag
+    shift = ref_t.mean + record - state.mean[..., :2]
+    density = state.weight * normal_density(shift, s_obs)
+    mean_cond = state.mean[..., 2:] + shift @ gain.T
     return ConditionalOutcome(
         probability_density=density,
         state=GaussianOperator(mean=mean_cond, cov=cov_cond),
@@ -236,6 +227,7 @@ def sample_double_homodyne(
 ):
     """Draw joint records alpha = x + iy; seed-deterministic like
     :func:`sample_homodyne`."""
+    require_single(state, "double homodyne sampling")
     ref_t, s_obs, _, _ = _double_homodyne_blocks(state, setting)
     rng = _generator(seed)
     size = 1 if n_samples is None else int(n_samples)

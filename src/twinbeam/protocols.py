@@ -23,11 +23,13 @@ from .channels import LossChannel, effective_kappa_contribution, evolve
 from .gaussian import (
     GaussianOperator,
     coherent,
+    displace,
+    overlap,
     photon_number,
     require_physical,
     twb,
 )
-from .measurement import DoubleHomodyneSetting, _double_homodyne_blocks, _generator
+from .measurement import DoubleHomodyneSetting, double_homodyne_condition, sample_double_homodyne
 
 # Distinguished return value of eta_threshold: no efficiency in (0, 1]
 # makes the teleported state conditionally squeezed.
@@ -67,8 +69,8 @@ class TeleportConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be nonnegative")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError("r must be finite and nonnegative")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         # LossChannel validates gamma_t and thermal_photons
@@ -97,13 +99,19 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
 
     The prepared state is squeezed iff eta > 1/2 (for any r > 0); at
     eta = 1/2 the conditional x variance equals the vacuum value 1/4.
+    Raises ValueError for non-finite inputs and for r or x so large that
+    the closed forms overflow.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and nonnegative")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
     n = photon_number(r)
     a_x = eta * math.sqrt(n * (n + 2.0)) * x / (1.0 + eta * n)
+    if not math.isfinite(a_x):
+        raise ValueError(f"the closed forms overflow at r={r}, x={x}")
     sigma1 = 0.25 * (1.0 + n * (1.0 - eta)) / (1.0 + eta * n)
     sigma2 = 0.25 * (1.0 + n)
     ratio = (1.0 + n) * (1.0 + eta * n) / (1.0 + n * (1.0 - eta))
@@ -162,29 +170,14 @@ def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, see
     the input.  The estimator's expectation is exactly
     :func:`fidelity_coherent`; identical seeds give identical estimates.
 
-    The conditional covariance and record gain do not depend on the
-    record value, so the loop over samples is vectorized.
+    The conditional covariance does not depend on the record, so all
+    conditioned states form one batched operator.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     resource = evolve(twb(config.r), config.channel())
     reference = coherent(z)
     setting = DoubleHomodyneSetting(reference=reference, efficiency=config.eta)
-    ref_t, s_obs, gain, cov_cond = _double_homodyne_blocks(resource, setting)
-
-    rng = _generator(seed)
-    obs = resource.mean[:2] + rng.standard_normal((int(n_samples), 2)) @ np.linalg.cholesky(
-        s_obs
-    ).T
-    shift = obs - resource.mean[:2]
-    mean_cond = resource.mean[2:] + shift @ gain.T
-    # record alpha satisfies obs = ref_t.mean + (x_alpha, -y_alpha);
-    # the correction displaces by -alpha
-    alpha_xy = (obs - ref_t.mean) * np.array([1.0, -1.0])
-    mean_out = mean_cond - alpha_xy
-
-    total_cov = cov_cond + reference.cov
-    delta = mean_out - reference.mean
-    quad = np.einsum("ij,ij->i", delta, np.linalg.solve(total_cov, delta.T).T)
-    fidelities = 0.5 * np.exp(-0.5 * quad) / math.sqrt(np.linalg.det(total_cov))
-    return float(np.mean(fidelities))
+    alphas = sample_double_homodyne(resource, setting, seed, n_samples)
+    out = double_homodyne_condition(resource, setting, alphas)
+    return float(np.mean(overlap(displace(out.state, 0, -alphas), reference)))

@@ -148,10 +148,10 @@ class TestMain:
         assert first["is_squeezed"] == "true"
 
     def test_byte_identical_runs(self, capsys):
-        argv = ["teleport", "--r", "0:1:4", "--gamma-t", "0,0.5", "--M", "0.3", "--seed", "5"]
-        main(argv)
+        argv = ["teleport", "--r", "0:1:4", "--gamma-t", "0,0.5", "--M", "0.3"]
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        main(argv)
+        assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
 
@@ -214,11 +214,25 @@ class TestMain:
             ["teleport", "--r", "0:1"],  # malformed range
             ["oracle-check", "--lam", "0.8", "--cutoff", "5"],  # leakage
             ["teleport", "--r", "0.5", "--eta", "1.5"],  # invalid eta
+            ["teleport", "--r", "nan"],  # non-finite squeezing
+            ["teleport", "--r", "0.5", "--M", "inf"],  # non-finite bath
+            ["remote-prep", "--r", "400"],  # photon number overflows
+            ["remote-prep", "--r", "1", "--x", "nan"],  # non-finite record
+            ["teleport", "--r", "0.5", "--seed", "5"],  # --seed is gone
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["-1,0,0.7", "-2:2:50", "-1"])
+    def test_negative_grid_values(self, values, capsys):
+        assert main(["remote-prep", "--r", "1", "--x", values]) == 0
+        separate = capsys.readouterr().out
+        assert main(["remote-prep", "--r", "1", f"--x={values}"]) == 0
+        assert separate == capsys.readouterr().out
+        first_x = values.replace(":", ",").split(",")[0]
+        assert float(separate.splitlines()[1].split(",")[3]) == float(first_x)
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -1,6 +1,5 @@
 """Phase-space core: construction, algebra, overlaps, decomposition."""
 
-import json
 import math
 
 import numpy as np
@@ -66,15 +65,14 @@ class TestGaussianOperator:
         with pytest.raises(ValueError):
             v.cov[0, 0] = 1.0
 
-    def test_json_round_trip(self):
-        state = displace(twb(0.4), 1, 0.3 - 0.8j)
-        payload = json.loads(json.dumps(state.to_dict()))
-        back = GaussianOperator.from_dict(payload)
-        assert payload["n_modes"] == 2
-        assert len(payload["cov"]) == 16
-        np.testing.assert_array_equal(back.mean, state.mean)
-        np.testing.assert_array_equal(back.cov, state.cov)
-        assert back.weight == state.weight
+    def test_family_of_means(self):
+        family = GaussianOperator(mean=np.zeros((3, 5, 4)), cov=0.25 * np.eye(4))
+        assert family.n_modes == 2
+        assert family.mean.shape == (3, 5, 4)
+        with pytest.raises(ValueError):
+            GaussianOperator(mean=np.zeros((3, 4)), cov=0.25 * np.eye(3))
+        with pytest.raises(ValueError):
+            GaussianOperator(mean=np.zeros(()), cov=0.25 * np.eye(2))
 
 
 class TestConstructors:
@@ -133,6 +131,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             squeezing_from_photon_number(-1.0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_photon_number_rejects_non_finite(self, n):
+        with pytest.raises(ValueError):
+            squeezing_from_photon_number(n)
+
 
 class TestWigner:
     def test_vacuum_origin(self):
@@ -153,12 +156,7 @@ class TestWigner:
     def test_normalization_on_grid(self, state):
         xs = np.linspace(-7.0, 7.0, 401)
         grid_x, grid_y = np.meshgrid(xs, xs, indexing="ij")
-        vals = np.array(
-            [
-                wigner_eval(state, [px, py])
-                for px, py in zip(grid_x.ravel(), grid_y.ravel())
-            ]
-        ).reshape(grid_x.shape)
+        vals = wigner_eval(state, np.stack([grid_x, grid_y], axis=-1))
         integral = np.trapezoid(np.trapezoid(vals, xs, axis=1), xs)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -333,3 +331,60 @@ class TestDecomposition:
     def test_rejects_multimode(self):
         with pytest.raises(ValueError):
             decompose_single_mode(twb(0.4))
+
+
+class TestBatched:
+    STATES = [twb(0.6), squeeze(thermal(0.3), 0, 0.5, 0.8)]
+    AMPLITUDES = np.array([[0.0, 1.0 - 0.5j], [-2.0 + 0.3j, 0.7j]])
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_displace_matches_scalar_calls(self, state):
+        family = displace(state, 0, self.AMPLITUDES)
+        assert family.mean.shape == self.AMPLITUDES.shape + state.mean.shape
+        np.testing.assert_array_equal(family.cov, state.cov)
+        for idx, alpha in np.ndenumerate(self.AMPLITUDES):
+            np.testing.assert_array_equal(family.mean[idx], displace(state, 0, complex(alpha)).mean)
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_overlap_matches_scalar_calls(self, state):
+        family = displace(state, 0, self.AMPLITUDES)
+        got = overlap(family, state)
+        assert got.shape == self.AMPLITUDES.shape
+        for idx, alpha in np.ndenumerate(self.AMPLITUDES):
+            one = overlap(displace(state, 0, complex(alpha)), state)
+            assert isinstance(one, float)
+            assert got[idx] == pytest.approx(one, rel=1e-13)
+
+    @pytest.mark.parametrize("state", STATES)
+    def test_wigner_eval_matches_scalar_calls(self, state):
+        rng = np.random.Generator(np.random.Philox(2))
+        points = rng.normal(size=(3, 2, state.mean.size))
+        got = wigner_eval(state, points)
+        assert got.shape == (3, 2)
+        for idx in np.ndindex(3, 2):
+            one = wigner_eval(state, points[idx])
+            assert isinstance(one, float)
+            assert got[idx] == pytest.approx(one, rel=1e-13)
+        # a family evaluated at one point gives one value per member
+        family = displace(state, 0, self.AMPLITUDES)
+        values = wigner_eval(family, points[0, 0])
+        for idx, alpha in np.ndenumerate(self.AMPLITUDES):
+            one = wigner_eval(displace(state, 0, complex(alpha)), points[0, 0])
+            assert values[idx] == pytest.approx(one, rel=1e-13)
+
+    def test_family_maps_match_scalar_calls(self):
+        amplitudes = self.AMPLITUDES.ravel()
+        family = displace(twb(0.6), 1, amplitudes)
+        for k, alpha in enumerate(amplitudes):
+            one = displace(twb(0.6), 1, alpha)
+            np.testing.assert_allclose(
+                squeeze(family, 1, 0.4, 0.2).mean[k], squeeze(one, 1, 0.4, 0.2).mean, atol=1e-15
+            )
+            np.testing.assert_array_equal(marginal(family, [1]).mean[k], marginal(one, [1]).mean)
+            flipped = transpose_wigner(family).mean[k]
+            np.testing.assert_array_equal(flipped, transpose_wigner(one).mean)
+
+    def test_single_state_operations_reject_a_family(self):
+        family = displace(thermal(0.3), 0, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            decompose_single_mode(family)

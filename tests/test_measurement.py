@@ -17,8 +17,6 @@ from twinbeam import (
     double_homodyne_condition,
     evolve,
     homodyne_density,
-    homodyne_povm_wigner,
-    marginal,
     overlap,
     rotate,
     sample_double_homodyne,
@@ -145,34 +143,6 @@ class TestConditionHomodyne:
             condition_homodyne(bad, HomodyneSetting(mode=0), 0.0)
 
 
-class TestHomodynePovm:
-    def test_requires_lossy_detector(self):
-        with pytest.raises(ValueError):
-            homodyne_povm_wigner(HomodyneSetting(efficiency=1.0), 0.5)
-
-    def test_overlap_approximates_density(self):
-        setting = HomodyneSetting(mode=0, efficiency=0.8)
-        arm = marginal(twb(0.9), [0])
-        dens = homodyne_density(twb(0.9), setting)
-        for x in (-1.0, 0.0, 0.8):
-            povm = homodyne_povm_wigner(setting, x)
-            assert overlap(arm, povm) == pytest.approx(dens(x), rel=1e-4)
-            # widening the flat direction sharpens the agreement
-            wide = homodyne_povm_wigner(setting, x, flat_variance=1e9)
-            assert overlap(arm, wide) == pytest.approx(dens(x), rel=1e-7)
-
-    def test_element_geometry(self):
-        setting = HomodyneSetting(mode=0, phase=0.6, efficiency=0.75)
-        povm = homodyne_povm_wigner(setting, 1.1)
-        direction = np.array([math.cos(0.6), math.sin(0.6)])
-        assert direction @ povm.mean == pytest.approx(1.1, rel=1e-14)
-        # the huge flat variance bleeds ~1e-10 into imperfectly aligned
-        # projections; only the scale of the agreement is meaningful
-        assert direction @ povm.cov @ direction == pytest.approx(
-            setting.noise_variance, abs=1e-9
-        )
-
-
 class TestSampling:
     def test_seed_determinism(self):
         state = twb(0.6)
@@ -227,17 +197,8 @@ class TestDoubleHomodyne:
         state = evolve(twb(0.6), LossChannel(0.2, 0.4))
         setting = DoubleHomodyneSetting(reference=coherent(0.4 + 0.9j), efficiency=0.85)
         xs = np.linspace(-7.0, 7.0, 161)
-        vals = np.array(
-            [
-                [
-                    double_homodyne_condition(
-                        state, setting, complex(a, b)
-                    ).probability_density
-                    for b in xs
-                ]
-                for a in xs
-            ]
-        )
+        records = xs[:, None] + 1j * xs[None, :]
+        vals = double_homodyne_condition(state, setting, records).probability_density
         integral = np.trapezoid(np.trapezoid(vals, xs, axis=1), xs)
         assert integral == pytest.approx(1.0, abs=1e-6)
 
@@ -274,3 +235,50 @@ class TestDoubleHomodyne:
         )
         assert isinstance(out, ConditionalOutcome)
         assert out.probability_density > 0.0
+
+
+class TestBatchedRecords:
+    STATE = evolve(twb(0.7), LossChannel(0.3, 0.5))
+    SETTING = DoubleHomodyneSetting(reference=coherent(0.9 + 0.2j), efficiency=0.9)
+    RECORDS = np.array([[0.0, 1.0 + 0.5j, -0.3 - 2.0j], [2.2j, -1.1, 0.4 - 0.4j]])
+
+    def test_records_match_scalar_calls(self):
+        batch = double_homodyne_condition(self.STATE, self.SETTING, self.RECORDS)
+        assert batch.probability_density.shape == self.RECORDS.shape
+        assert batch.state.mean.shape == self.RECORDS.shape + (2,)
+        for idx, alpha in np.ndenumerate(self.RECORDS):
+            one = double_homodyne_condition(self.STATE, self.SETTING, complex(alpha))
+            assert isinstance(one.probability_density, float)
+            assert batch.probability_density[idx] == pytest.approx(
+                one.probability_density, rel=1e-13
+            )
+            np.testing.assert_allclose(
+                batch.state.mean[idx], one.state.mean, rtol=1e-13, atol=1e-15
+            )
+            np.testing.assert_array_equal(batch.state.cov, one.state.cov)
+
+    def test_batched_state_matches_scalar_calls(self):
+        shifts = np.array([0.0, 0.4 - 1.0j, -2.0 + 0.3j])
+        family = displace(self.STATE, 0, shifts)
+        batch = double_homodyne_condition(family, self.SETTING, 0.5 - 0.5j)
+        for k, shift in enumerate(shifts):
+            one = double_homodyne_condition(
+                displace(self.STATE, 0, shift), self.SETTING, 0.5 - 0.5j
+            )
+            assert batch.probability_density[k] == pytest.approx(
+                one.probability_density, rel=1e-13
+            )
+            np.testing.assert_allclose(batch.state.mean[k], one.state.mean, rtol=1e-13, atol=1e-15)
+
+    def test_single_state_operations_reject_a_family(self):
+        family = displace(self.STATE, 1, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            condition_homodyne(family, HomodyneSetting(mode=0), 0.3)
+        with pytest.raises(ValueError):
+            homodyne_density(family, HomodyneSetting(mode=0))
+        with pytest.raises(ValueError):
+            sample_homodyne(family, HomodyneSetting(mode=0), seed=1)
+        with pytest.raises(ValueError):
+            sample_double_homodyne(family, self.SETTING, seed=1)
+        with pytest.raises(ValueError):
+            DoubleHomodyneSetting(reference=coherent(np.array([0.0, 1.0j])))

@@ -85,6 +85,23 @@ class TestRemotePrep:
         with pytest.raises(ValueError):
             remote_prep(0.5, 1.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "r, eta, x",
+        [
+            (math.nan, 0.8, 0.1),
+            (math.inf, 0.8, 0.1),
+            (0.5, math.nan, 0.1),
+            (0.5, 0.8, math.nan),
+            (0.5, 0.8, math.inf),
+            (200.0, 0.8, 0.1),  # the squared photon number overflows
+            (400.0, 0.8, 0.1),  # the photon number itself overflows
+            (10.0, 0.8, 1e300),  # the heralded displacement overflows
+        ],
+    )
+    def test_rejects_non_finite_and_overflow(self, r, eta, x):
+        with pytest.raises(ValueError):
+            remote_prep(r, eta, x)
+
     def test_zero_beam_prepares_vacuum_stats(self):
         res = remote_prep(0.0, 0.9, 1.0)
         assert res.a_x_eta == 0.0
@@ -107,6 +124,22 @@ class TestTeleportConfig:
             TeleportConfig(r=0.5, eta=0.0)
         with pytest.raises(ValueError):
             TeleportConfig(r=0.5, gamma_t=-1.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"r": math.nan},
+            {"r": math.inf},
+            {"r": 0.5, "gamma_t": math.nan},
+            {"r": 0.5, "gamma_t": math.inf},
+            {"r": 0.5, "thermal_photons": math.nan},
+            {"r": 0.5, "thermal_photons": math.inf},
+            {"r": 0.5, "eta": math.nan},
+        ],
+    )
+    def test_rejects_non_finite(self, fields):
+        with pytest.raises(ValueError):
+            TeleportConfig(**fields)
 
 
 class TestTeleportGaussian:
@@ -200,6 +233,14 @@ class TestEtaThreshold:
         impossible = eta_threshold(r, gamma_t, m) == IMPOSSIBLE
         bound = (2.0 * m + 1.0) - 2.0 * m * math.exp(gamma_t)
         assert impossible == (math.exp(-2.0 * r) > bound + 1e-12)
+
+    @pytest.mark.parametrize(
+        "r, gamma_t, m",
+        [(math.nan, 0.5, 0.0), (0.5, math.nan, 0.0), (0.5, 0.5, math.nan), (math.inf, 0.5, 0.0)],
+    )
+    def test_rejects_non_finite(self, r, gamma_t, m):
+        with pytest.raises(ValueError):
+            eta_threshold(r, gamma_t, m)
 
     def test_threshold_matches_contribution(self):
         a = effective_kappa_contribution(0.9, LossChannel(0.4, 0.6))
