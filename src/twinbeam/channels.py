@@ -14,26 +14,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianOperator, require_physical
+from .gaussian import GaussianOperator, require_finite_nonnegative, require_physical
 
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Damping by ``gamma_t`` into a bath holding ``thermal_photons``."""
+    """Damping by ``gamma_t`` into a bath holding ``thermal_photons``.
+
+    Fields may be arrays that broadcast against each other: a grid of
+    channels, for the closed forms; :func:`evolve` takes one channel.
+    """
 
     gamma_t: float
     thermal_photons: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma_t < math.inf:
-            raise ValueError("gamma_t must be finite and nonnegative")
-        if not 0.0 <= self.thermal_photons < math.inf:
-            raise ValueError("thermal_photons must be finite and nonnegative")
+        require_finite_nonnegative("gamma_t", self.gamma_t)
+        require_finite_nonnegative("thermal_photons", self.thermal_photons)
 
     @property
     def transmission(self) -> float:
         """Amplitude-squared survival e^{-gamma_t}."""
-        return math.exp(-self.gamma_t)
+        return _exp(-self.gamma_t)
 
     @property
     def added_variance(self) -> float:
@@ -65,9 +67,21 @@ def effective_kappa_contribution(r: float, channel: LossChannel) -> float:
     """Teleportation noise from squeezing plus channel damping.
 
     Equals e^{-gamma_t - 2r} + (2M + 1)(1 - e^{-gamma_t}): four times the
-    variance of the damped twin-beam difference quadrature.
+    variance of the damped twin-beam difference quadrature.  An array of
+    r, or a grid of channels, broadcasts.
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and nonnegative")
+    require_finite_nonnegative("r", r)
     t = channel.transmission
-    return t * math.exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+    # as in float arithmetic, an M near the float limit gives inf, or NaN
+    # where 1 - t is 0, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return t * _exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+
+
+def _exp(x):
+    """``math.exp`` of a number or of each array element: correctly
+    rounded, as ``np.exp`` may not be, so array results equal the scalar
+    ones bit for bit.  Axis-shaped arrays cost one call per axis value."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return math.exp(x)

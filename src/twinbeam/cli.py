@@ -1,16 +1,22 @@
 """Command-line front end emitting plot-ready delimited tables.
 
-Three subcommands share one shape: build a parameter grid, evaluate the
-closed forms (or the number-basis oracle) on every grid point, and emit
+Three subcommands share one shape: build a parameter grid, evaluate it
+into a :class:`Table` whose columns broadcast over the grid, and emit
 one flat table as CSV or JSON.
 
-* ``remote-prep``: conditional-state parameters of the heralded arm;
-* ``teleport``: added noise, fidelity and efficiency threshold;
+* ``remote-prep``: conditional-state parameters of the heralded arm,
+  from the closed forms at each grid point;
+* ``teleport``: added noise, fidelity and efficiency threshold; the
+  closed forms are evaluated once per axis value and broadcast over the
+  grid, so the work grows with the axis lengths, not their product;
 * ``oracle-check``: Gaussian engine vs number-basis brute force, with
   per-row discrepancies and a pass verdict (process exit 1 on any fail).
 
 Floats are printed with 17 significant digits so the tables round-trip
-exactly; runs are byte-identical for identical parameters and seed.
+exactly; each distinct cell of a column is formatted once.  Identical
+parameters give byte-identical tables, equal to the scalar library
+functions formatted row by row: every transcendental is taken with
+``math``, and only exact arithmetic is broadcast.
 """
 
 from __future__ import annotations
@@ -27,12 +33,7 @@ import numpy as np
 from .fock import condition_fock, gauss_hermite_grid, moments_fock, twb_fock
 from .gaussian import photon_number, squeezing_from_photon_number, twb
 from .measurement import HomodyneSetting, condition_homodyne
-from .protocols import (
-    TeleportConfig,
-    eta_threshold,
-    fidelity_coherent,
-    remote_prep,
-)
+from .protocols import TeleportConfig, eta_threshold, fidelity_coherent, remote_prep
 
 REMOTE_PREP_COLUMNS = (
     "r",
@@ -108,26 +109,65 @@ class SweepSpec:
         if (self.r is None) == (self.n is None):
             raise ConfigurationError("exactly one of r or N must be given")
 
+    def squeezing(self) -> list[float]:
+        """r values, derived from N when N was given."""
+        if self.r is not None:
+            return [float(r) for r in self.r]
+        return [squeezing_from_photon_number(float(n)) for n in self.n]
+
     def squeezing_column(self) -> list[tuple[float, float]]:
         """(r, N) pairs, deriving whichever of the two was not given."""
         if self.r is not None:
-            return [(float(r), photon_number(float(r))) for r in self.r]
-        return [(squeezing_from_photon_number(float(n)), float(n)) for n in self.n]
+            return [(r, photon_number(r)) for r in self.squeezing()]
+        return list(zip(self.squeezing(), (float(n) for n in self.n)))
 
 
-def run_remote_prep_sweep(spec: SweepSpec) -> list[dict]:
+@dataclass(frozen=True)
+class Table:
+    """Rows of a parameter grid, stored by column.
+
+    Row i is grid point i in C order.  Each column is an array that
+    broadcasts to ``shape``, so a column that varies along some axes
+    only holds one value per point of those axes.  Cells are floats,
+    bools, or, in an object array, floats mixed with a literal such as
+    ``impossible``.
+    """
+
+    shape: tuple[int, ...]
+    columns: dict[str, np.ndarray]
+
+    def rows(self) -> list[dict]:
+        """One dict of Python values per row, keyed in column order."""
+        values = [np.broadcast_to(v, self.shape).ravel().tolist() for v in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*values)]
+
+
+def _axes(*values) -> list[np.ndarray]:
+    """Each value sequence as a float array along its own axis of the
+    grid they span, in the order given."""
+    return [
+        np.asarray(v, dtype=float).reshape((-1,) + (1,) * (len(values) - 1 - k))
+        for k, v in enumerate(values)
+    ]
+
+
+def _stack(points: list[dict], names, shape: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """Per-point values, in C order over ``shape``, as one array per name."""
+    return {name: np.reshape([p[name] for p in points], shape) for name in names}
+
+
+def run_remote_prep_sweep(spec: SweepSpec) -> Table:
     """One row per (r, eta, x) grid point of heralded-state parameters."""
-    rows = []
-    for r, n in spec.squeezing_column():
-        for eta in spec.eta:
-            for x in spec.x:
-                res = remote_prep(r, float(eta), float(x))
-                rows.append(
+    pairs = spec.squeezing_column()
+    r, eta, x = _axes([r for r, _ in pairs], spec.eta, spec.x)
+    columns = {"r": r, "N": np.reshape([n for _, n in pairs], r.shape), "eta": eta, "x": x}
+    points = []
+    for r_value, _ in pairs:
+        for eta_value in spec.eta:
+            for x_value in spec.x:
+                res = remote_prep(r_value, float(eta_value), float(x_value))
+                points.append(
                     {
-                        "r": r,
-                        "N": n,
-                        "eta": float(eta),
-                        "x": float(x),
                         "a_x_eta": res.a_x_eta,
                         "sigma1_sq": res.sigma1_sq,
                         "sigma2_sq": res.sigma2_sq,
@@ -137,36 +177,32 @@ def run_remote_prep_sweep(spec: SweepSpec) -> list[dict]:
                         "density": res.outcome_density,
                     }
                 )
-    return rows
+    shape = (len(pairs), len(spec.eta), len(spec.x))
+    return Table(shape, {**columns, **_stack(points, REMOTE_PREP_COLUMNS[4:], shape)})
 
 
-def run_teleport_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per (r, gamma_t, M, eta) grid point of teleport figures."""
-    rows = []
-    for r, _ in spec.squeezing_column():
-        for gamma_t in spec.gamma_t:
-            for m in spec.thermal_photons:
-                for eta in spec.eta:
-                    config = TeleportConfig(
-                        r=r,
-                        gamma_t=float(gamma_t),
-                        thermal_photons=float(m),
-                        eta=float(eta),
-                    )
-                    fid = fidelity_coherent(config)
-                    rows.append(
-                        {
-                            "r": r,
-                            "gamma_t": float(gamma_t),
-                            "M": float(m),
-                            "eta": float(eta),
-                            "kappa_sq": config.kappa_sq,
-                            "fidelity": fid,
-                            "eta_threshold": eta_threshold(r, float(gamma_t), float(m)),
-                            "beats_classical": fid > 0.5,
-                        }
-                    )
-    return rows
+def run_teleport_sweep(spec: SweepSpec) -> Table:
+    """One row per (r, gamma_t, M, eta) grid point of teleport figures.
+
+    One config holds the four axes as arrays, which validates each axis
+    once; the closed forms broadcast over the grid.  r is derived from N
+    when N was given; N itself is not needed.
+    """
+    axes = (spec.squeezing(), spec.gamma_t, spec.thermal_photons, spec.eta)
+    r, gamma_t, m, eta = _axes(*axes)
+    config = TeleportConfig(r, gamma_t, m, eta)
+    fidelity = fidelity_coherent(config)
+    columns = {
+        "r": r,
+        "gamma_t": gamma_t,
+        "M": m,
+        "eta": eta,
+        "kappa_sq": config.kappa_sq,
+        "fidelity": fidelity,
+        "eta_threshold": eta_threshold(r, gamma_t, m),
+        "beats_classical": fidelity > 0.5,
+    }
+    return Table(tuple(len(v) for v in axes), columns)
 
 
 def run_oracle_check(
@@ -176,7 +212,7 @@ def run_oracle_check(
     cutoff: int = 40,
     nodes: int = 40,
     leakage_bound: float = DEFAULT_LEAKAGE_BOUND,
-) -> list[dict]:
+) -> Table:
     """Cross-validate Gaussian conditioning against the number basis.
 
     Every (lam, eta, x) grid point compares conditional quadrature
@@ -199,7 +235,7 @@ def run_oracle_check(
                 f"bound is {leakage_bound:.3g}"
             )
     grid = gauss_hermite_grid(nodes)
-    rows = []
+    points = []
     for lam in lam_values:
         r = math.atanh(lam)
         beam = twb(r)
@@ -224,11 +260,8 @@ def run_oracle_check(
                 n_th = remote_prep(r, eta, x).n_th
                 purity_err = abs(fm.purity - 1.0 / (2.0 * n_th + 1.0))
                 density_err = abs(density - outcome.probability_density)
-                rows.append(
+                points.append(
                     {
-                        "lam": lam,
-                        "eta": eta,
-                        "x": x,
                         "max_moment_err": moment_err,
                         "purity_err": purity_err,
                         "density_err": density_err,
@@ -239,7 +272,10 @@ def run_oracle_check(
                         ),
                     }
                 )
-    return rows
+    lam, eta, x = _axes(lam_values, eta_values, x_values)
+    shape = (len(lam_values), len(eta_values), len(x_values))
+    columns = {"lam": lam, "eta": eta, "x": x}
+    return Table(shape, {**columns, **_stack(points, ORACLE_COLUMNS[3:], shape)})
 
 
 def _format_cell(value) -> str:
@@ -250,15 +286,26 @@ def _format_cell(value) -> str:
     return f"{float(value):.17g}"
 
 
-def rows_to_csv(rows: list[dict], columns) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """:func:`_format_cell` of every element; a float array skips the
+    type dispatch."""
+    flat = values.ravel().tolist()
+    text = map("%.17g".__mod__ if values.dtype == float else _format_cell, flat)
+    return np.array(list(text), dtype=object).reshape(values.shape)
 
 
-def rows_to_json(rows: list[dict]) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+def rows_to_csv(table: Table, columns) -> str:
+    """CSV text of ``columns``: each distinct cell is formatted once, at
+    its column's own shape, and the text broadcast over the rows."""
+    cells = [
+        np.broadcast_to(_format_cells(table.columns[name]), table.shape).ravel().tolist()
+        for name in columns
+    ]
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+
+
+def rows_to_json(table: Table) -> str:
+    return json.dumps(table.rows(), indent=2) + "\n"
 
 
 def _parse_range(text: str, flag: str) -> tuple[float, ...]:
@@ -389,14 +436,14 @@ def _dispatch(args: argparse.Namespace, spec: dict):
             thermal_photons=_grid_param(args, spec, "M", (0.0,)),
         )
         return run_teleport_sweep(sweep), TELEPORT_COLUMNS
-    rows = run_oracle_check(
+    table = run_oracle_check(
         _grid_param(args, spec, "lam", _ORACLE_DEFAULTS["lam"]),
         _grid_param(args, spec, "eta", _ORACLE_DEFAULTS["eta"]),
         _grid_param(args, spec, "x", _ORACLE_DEFAULTS["x"]),
         cutoff=int(_merge(args, spec, "cutoff", _ORACLE_DEFAULTS["cutoff"])),
         nodes=int(_merge(args, spec, "nodes", _ORACLE_DEFAULTS["nodes"])),
     )
-    return rows, ORACLE_COLUMNS
+    return table, ORACLE_COLUMNS
 
 
 def main(argv=None) -> int:
@@ -413,7 +460,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         spec = _load_spec_file(args.spec) if args.spec else {}
-        rows, columns = _dispatch(args, spec)
+        table, columns = _dispatch(args, spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,14 +468,14 @@ def main(argv=None) -> int:
     if fmt not in ("csv", "json"):
         print(f"error: unknown format {fmt!r}", file=sys.stderr)
         return 2
-    text = rows_to_csv(rows, columns) if fmt == "csv" else rows_to_json(rows)
+    text = rows_to_csv(table, columns) if fmt == "csv" else rows_to_json(table)
     out = _merge(args, spec, "out", "stdout")
     if out in ("stdout", "-"):
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.command == "oracle-check" and not all(row["pass"] for row in rows):
+    if args.command == "oracle-check" and not table.columns["pass"].all():
         return 1
     return 0
 

@@ -173,6 +173,18 @@ def require_single(op: GaussianOperator, what: str = "operation") -> None:
         raise ValueError(f"{what} needs a single state, not a family of shape {op.mean.shape[:-1]}")
 
 
+def require_all(condition, message: str) -> None:
+    """Raise ValueError(message) unless ``condition``, a bool or a bool
+    array, holds everywhere."""
+    if not (condition.all() if isinstance(condition, np.ndarray) else condition):
+        raise ValueError(message)
+
+
+def require_finite_nonnegative(name: str, value) -> None:
+    """Reject a number, or an array with an element, that is negative or not finite."""
+    require_all((0.0 <= value) & (value < math.inf), f"{name} must be finite and nonnegative")
+
+
 def normal_density(delta, cov: np.ndarray):
     """Normal density N(delta; 0, cov) over the leading axes of ``delta``.
 
@@ -215,9 +227,11 @@ def twb(r: float) -> GaussianOperator:
     The sum quadrature (x1 + x2)/sqrt(2) and difference (y1 - y2)/sqrt(2)
     have variance e^{2r}/4; the conjugate combinations have e^{-2r}/4.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    require_finite_nonnegative("r", r)
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise ValueError(f"twin-beam covariance overflows at r={r}") from None
     cov = VACUUM_VARIANCE * np.array(
         [
             [ch, 0.0, sh, 0.0],

@@ -26,6 +26,8 @@ from .gaussian import (
     displace,
     overlap,
     photon_number,
+    require_all,
+    require_finite_nonnegative,
     require_physical,
     twb,
 )
@@ -61,7 +63,14 @@ class RemotePrepResult:
 
 @dataclass(frozen=True)
 class TeleportConfig:
-    """Resource squeezing r, channel damping, bath photons and efficiency."""
+    """Resource squeezing r, channel damping, bath photons and efficiency.
+
+    Fields may be arrays that broadcast against each other: a grid of
+    configurations, over which :attr:`kappa_sq` and
+    :func:`fidelity_coherent` broadcast, every point equal to its scalar
+    config; the simulations (:func:`teleport_gaussian`,
+    :func:`teleport_monte_carlo`) take one configuration.
+    """
 
     r: float
     gamma_t: float = 0.0
@@ -69,10 +78,8 @@ class TeleportConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError("r must be finite and nonnegative")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
+        require_finite_nonnegative("r", self.r)
+        require_all((0.0 < self.eta) & (self.eta <= 1.0), "eta must lie in (0, 1]")
         # LossChannel validates gamma_t and thermal_photons
         self.channel()
 
@@ -146,19 +153,22 @@ def fidelity_coherent(config: TeleportConfig) -> float:
     return 1.0 / (1.0 + config.kappa_sq)
 
 
-def eta_threshold(r: float, gamma_t: float, thermal_photons: float = 0.0):
+def eta_threshold(r, gamma_t, thermal_photons=0.0):
     """Smallest efficiency at which teleportation beats the classical 1/2.
 
     Returns the threshold as a float when some eta in (0, 1] reaches
     fidelity 1/2, else the string ``IMPOSSIBLE``.  With a vacuum bath
-    (thermal_photons = 0) a threshold always exists.
+    (thermal_photons = 0) a threshold always exists.  Array arguments
+    broadcast to an object array of such values.
     """
     a = effective_kappa_contribution(r, LossChannel(gamma_t, thermal_photons))
+    # min(1, 1/(2 - a)) = 1/(2 - min(a, 1)); fmin also takes a NaN a, which
+    # (2M + 1)(1 - e^{-gamma_t}) gives when 2M + 1 overflows, to 1
+    threshold = np.asarray(1.0 / (2.0 - np.fmin(a, 1.0))).astype(object)
     # a <= 1 always holds for a vacuum bath; the epsilon absorbs the
     # 1-ulp rounding of that boundary so M = 0 never reports impossible
-    if a > 1.0 + 1e-12:
-        return IMPOSSIBLE
-    return min(1.0, 1.0 / (2.0 - a))
+    threshold[a > 1.0 + 1e-12] = IMPOSSIBLE
+    return threshold if threshold.ndim else threshold.item()
 
 
 def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, seed: int) -> float:

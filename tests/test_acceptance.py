@@ -142,7 +142,7 @@ def test_04_number_basis_oracle_agrees():
         start = time.perf_counter()
         rows = run_oracle_check(
             (0.3, 1.0 / math.sqrt(3.0), 0.8), (0.6, 0.8, 1.0), (-1.0, 0.0, 0.7)
-        )
+        ).rows()
         elapsed = time.perf_counter() - start
         assert len(rows) == 27
         for row in rows:

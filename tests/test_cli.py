@@ -2,16 +2,33 @@
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
-from twinbeam import remote_prep, squeezing_from_photon_number
+from twinbeam import (
+    HomodyneSetting,
+    TeleportConfig,
+    condition_fock,
+    condition_homodyne,
+    eta_threshold,
+    fidelity_coherent,
+    gauss_hermite_grid,
+    moments_fock,
+    photon_number,
+    remote_prep,
+    squeezing_from_photon_number,
+    twb,
+    twb_fock,
+)
 from twinbeam.cli import (
     ConfigurationError,
     ORACLE_COLUMNS,
     REMOTE_PREP_COLUMNS,
     SweepSpec,
     TELEPORT_COLUMNS,
+    Table,
     _parse_range,
     main,
     rows_to_csv,
@@ -53,7 +70,7 @@ class TestSweepSpec:
 class TestRemotePrepSweep:
     def test_grid_and_values(self):
         spec = SweepSpec(n=(1.0,), eta=(0.8, 0.9, 1.0), x=(0.5,))
-        rows = run_remote_prep_sweep(spec)
+        rows = run_remote_prep_sweep(spec).rows()
         assert len(rows) == 3
         assert all(tuple(row.keys()) == REMOTE_PREP_COLUMNS for row in rows)
         res = remote_prep(squeezing_from_photon_number(1.0), 0.8, 0.5)
@@ -63,7 +80,7 @@ class TestRemotePrepSweep:
 
     def test_iteration_order(self):
         spec = SweepSpec(r=(0.1, 0.2), eta=(0.7, 1.0), x=(0.0,))
-        rows = run_remote_prep_sweep(spec)
+        rows = run_remote_prep_sweep(spec).rows()
         assert [(row["r"], row["eta"]) for row in rows] == [
             (0.1, 0.7),
             (0.1, 1.0),
@@ -80,7 +97,7 @@ class TestTeleportSweep:
             thermal_photons=(1.0,),
             eta=(0.8,),
         )
-        rows = run_teleport_sweep(spec)
+        rows = run_teleport_sweep(spec).rows()
         assert len(rows) == 4
         assert all(tuple(row.keys()) == TELEPORT_COLUMNS for row in rows)
         lossy_vacuum = rows[1]
@@ -95,7 +112,7 @@ class TestTeleportSweep:
 
 class TestOracleCheckRun:
     def test_default_grid_passes(self):
-        rows = run_oracle_check((0.3, 1.0 / math.sqrt(3.0), 0.8), (0.6, 0.8, 1.0), (-1.0, 0.0, 0.7))
+        rows = run_oracle_check((0.3, 1.0 / math.sqrt(3.0), 0.8), (0.6, 0.8, 1.0), (-1.0, 0.0, 0.7)).rows()
         assert len(rows) == 27
         assert all(row["pass"] for row in rows)
         assert all(tuple(row.keys()) == ORACLE_COLUMNS for row in rows)
@@ -112,14 +129,14 @@ class TestOracleCheckRun:
             run_oracle_check((), (1.0,), (0.0,))
 
     def test_coarse_nodes_fail_tolerances(self):
-        rows = run_oracle_check((0.3,), (0.6,), (0.7,), nodes=2)
+        rows = run_oracle_check((0.3,), (0.6,), (0.7,), nodes=2).rows()
         assert not rows[0]["pass"]
 
 
 class TestFormatting:
     def test_csv_17_digits_round_trip(self):
-        rows = [{"a": 0.1, "flag": True, "word": "impossible"}]
-        text = rows_to_csv(rows, ("a", "flag", "word"))
+        table = Table((1,), {"a": np.array([0.1]), "flag": np.array([True]), "word": np.array(["impossible"], dtype=object)})
+        text = rows_to_csv(table, ("a", "flag", "word"))
         lines = text.splitlines()
         assert lines[0] == "a,flag,word"
         cell, flag, word = lines[1].split(",")
@@ -128,8 +145,8 @@ class TestFormatting:
         assert flag == "true" and word == "impossible"
 
     def test_json_round_trip(self):
-        rows = [{"a": 1.0 / 3.0, "flag": False, "word": "impossible"}]
-        parsed = json.loads(rows_to_json(rows))
+        table = Table((1,), {"a": np.array([1.0 / 3.0]), "flag": np.array([False]), "word": np.array(["impossible"], dtype=object)})
+        parsed = json.loads(rows_to_json(table))
         assert parsed[0]["a"] == 1.0 / 3.0
         assert parsed[0]["flag"] is False
         assert parsed[0]["word"] == "impossible"
@@ -217,6 +234,10 @@ class TestMain:
             ["teleport", "--r", "nan"],  # non-finite squeezing
             ["teleport", "--r", "0.5", "--M", "inf"],  # non-finite bath
             ["remote-prep", "--r", "400"],  # photon number overflows
+            ["teleport", "--r", "0.5,nan"],  # every value of each axis is checked
+            ["teleport", "--r", "0.5", "--gamma-t", "0,-1"],
+            ["teleport", "--r", "0.5", "--M", "0,inf"],
+            ["teleport", "--r", "0.5", "--eta", "0.9,0"],
             ["remote-prep", "--r", "1", "--x", "nan"],  # non-finite record
             ["teleport", "--r", "0.5", "--seed", "5"],  # --seed is gone
         ],
@@ -243,3 +264,161 @@ class TestMain:
         assert main(["remote-prep", "--spec", str(broken)]) == 2
         missing = tmp_path / "missing.json"
         assert main(["remote-prep", "--spec", str(missing)]) == 2
+
+
+def _csv(rows, columns) -> str:
+    """CSV of rows built one by one, the same format as the CLI's tables."""
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return v if isinstance(v, str) else f"{v:.17g}"
+
+    return "\n".join([",".join(columns)] + [",".join(cell(row[c]) for c in columns) for row in rows]) + "\n"
+
+
+def _cli_tables(argv, capsys) -> tuple[str, str]:
+    assert main(argv) == 0
+    csv = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == 0
+    return csv, capsys.readouterr().out
+
+
+def _teleport_rows(rs, gammas, ms, etas) -> list[dict]:
+    rows = []
+    for r in rs:
+        for g in gammas:
+            for m in ms:
+                for eta in etas:
+                    config = TeleportConfig(r, g, m, eta)
+                    fid = fidelity_coherent(config)
+                    rows.append(
+                        {
+                            "r": r,
+                            "gamma_t": g,
+                            "M": m,
+                            "eta": eta,
+                            "kappa_sq": config.kappa_sq,
+                            "fidelity": fid,
+                            "eta_threshold": eta_threshold(r, g, m),
+                            "beats_classical": fid > 0.5,
+                        }
+                    )
+    return rows
+
+
+def _flag(values) -> str:
+    return "=" + ",".join(repr(v) for v in values)
+
+
+class TestTablesMatchScalarCalls:
+    """CLI tables equal, byte for byte, tables built row by row from the
+    scalar library functions.  Many irregular r and gamma_t values make
+    each exponential of the broadcast sweep count: one taken with a
+    function that is not correctly rounded changes some cells."""
+
+    def test_teleport_by_r(self, capsys):
+        rng = random.Random(3)
+        rs = [-0.0] + [rng.uniform(0.0, 3.0) for _ in range(63)]
+        gammas = [0.0, 0.3] + [rng.uniform(0.0, 2.0) for _ in range(30)]
+        ms, etas = [0.0, 1.0], [1.0, 0.6]
+        argv = ["teleport", "--r" + _flag(rs), "--gamma-t" + _flag(gammas), "--M" + _flag(ms), "--eta" + _flag(etas)]
+        csv, text = _cli_tables(argv, capsys)
+        rows = _teleport_rows(rs, gammas, ms, etas)
+        # r = -0, gamma_t = 0.3, M = 1: no efficiency beats 1/2
+        assert [row["eta_threshold"] for row in rows[6:8]] == ["impossible"] * 2
+        assert csv.splitlines()[1].startswith("-0,0,0,1,")
+        assert csv == _csv(rows, TELEPORT_COLUMNS)
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    def test_teleport_by_photon_number(self, capsys):
+        ns = [0.0, 0.37, 1.0, 5.5, 1e300]
+        gammas, ms, etas = [0.0, 0.45], [0.0, 0.2], [0.7, 1.0]
+        argv = ["teleport", "--N" + _flag(ns), "--gamma-t" + _flag(gammas), "--M" + _flag(ms), "--eta" + _flag(etas)]
+        csv, text = _cli_tables(argv, capsys)
+        rows = _teleport_rows([squeezing_from_photon_number(n) for n in ns], gammas, ms, etas)
+        assert csv == _csv(rows, TELEPORT_COLUMNS)
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    def test_teleport_strong_squeezing(self, capsys):
+        # the teleport table has no N column, so an r whose photon number
+        # overflows is still a valid row
+        assert main(["teleport", "--r", "400", "--gamma-t", "0.2", "--eta", "0.9"]) == 0
+        row = dict(zip(TELEPORT_COLUMNS, capsys.readouterr().out.splitlines()[1].split(",")))
+        config = TeleportConfig(r=400.0, gamma_t=0.2, eta=0.9)
+        assert float(row["kappa_sq"]) == config.kappa_sq
+        assert float(row["fidelity"]) == fidelity_coherent(config)
+
+    def test_remote_prep(self, capsys):
+        rs, etas, xs = [0.0, 0.31, 1.7], [0.5, 0.83, 1.0], [-1.3, 0.0, 0.7]
+        argv = ["remote-prep", "--r" + _flag(rs), "--eta" + _flag(etas), "--x" + _flag(xs)]
+        csv, text = _cli_tables(argv, capsys)
+        rows = []
+        for r in rs:
+            for eta in etas:
+                for x in xs:
+                    res = remote_prep(r, eta, x)
+                    rows.append(
+                        {
+                            "r": r,
+                            "N": photon_number(r),
+                            "eta": eta,
+                            "x": x,
+                            "a_x_eta": res.a_x_eta,
+                            "sigma1_sq": res.sigma1_sq,
+                            "sigma2_sq": res.sigma2_sq,
+                            "n_th": res.n_th,
+                            "r_squeeze": res.r_squeeze,
+                            "is_squeezed": res.is_squeezed,
+                            "density": res.outcome_density,
+                        }
+                    )
+        assert csv == _csv(rows, REMOTE_PREP_COLUMNS)
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    def test_oracle_check(self, capsys):
+        lams, etas, xs = [0.3, 0.55], [0.7, 1.0], [-1.0, 0.4]
+        argv = ["oracle-check", "--lam" + _flag(lams), "--eta" + _flag(etas), "--x" + _flag(xs), "--cutoff", "30", "--nodes", "12"]
+        csv, text = _cli_tables(argv, capsys)
+        grid = gauss_hermite_grid(12)
+        rows = []
+        for lam in lams:
+            r = math.atanh(lam)
+            for eta in etas:
+                for x in xs:
+                    outcome = condition_homodyne(twb(r), HomodyneSetting(0, 0.0, eta), x)
+                    mean, cov = outcome.state.mean, outcome.state.cov
+                    density, rho = condition_fock(twb_fock(lam, 30), x, eta, grid)
+                    fm = moments_fock(rho)
+                    moment_err = float(
+                        max(
+                            abs(fm.mean_x - mean[0]),
+                            abs(fm.mean_y - mean[1]),
+                            abs(fm.var_x - cov[0, 0]),
+                            abs(fm.var_y - cov[1, 1]),
+                            abs(fm.cov_xy - cov[0, 1]),
+                        )
+                    )
+                    purity_err = abs(fm.purity - 1.0 / (2.0 * remote_prep(r, eta, x).n_th + 1.0))
+                    density_err = abs(density - outcome.probability_density)
+                    rows.append(
+                        {
+                            "lam": lam,
+                            "eta": eta,
+                            "x": x,
+                            "max_moment_err": moment_err,
+                            "purity_err": purity_err,
+                            "density_err": density_err,
+                            "pass": bool(moment_err <= 1e-5 and purity_err <= 1e-4 and density_err <= 1e-6),
+                        }
+                    )
+        assert csv == _csv(rows, ORACLE_COLUMNS)
+        assert text == json.dumps(rows, indent=2) + "\n"
+
+    def test_empty_axis_gives_header_only(self, tmp_path, capsys):
+        spec = tmp_path / "empty.json"
+        spec.write_text(json.dumps({"r": [], "M": [0.5]}))
+        assert main(["teleport", "--spec", str(spec)]) == 0
+        assert capsys.readouterr().out == ",".join(TELEPORT_COLUMNS) + "\n"
+        assert main(["remote-prep", "--spec", str(spec), "--format", "json"]) == 0
+        assert capsys.readouterr().out == "[]\n"

@@ -127,6 +127,11 @@ class TestConstructors:
         arm = marginal(twb(r), [0])
         np.testing.assert_allclose(arm.cov, thermal(n / 2).cov, rtol=1e-13, atol=1e-15)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 400.0])
+    def test_twb_rejects_non_finite_or_overflowing_r(self, r):
+        with pytest.raises(ValueError):
+            twb(r)
+
     def test_photon_number_rejects_negative(self):
         with pytest.raises(ValueError):
             squeezing_from_photon_number(-1.0)

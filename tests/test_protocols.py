@@ -247,6 +247,41 @@ class TestEtaThreshold:
         assert eta_threshold(0.9, 0.4, 0.6) == pytest.approx(1.0 / (2.0 - a), rel=1e-14)
 
 
+class TestBroadcast:
+    def test_grid_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        r = np.append(rng.uniform(0.0, 3.0, 40), 0.0).reshape(-1, 1, 1, 1)
+        gamma_t = np.append(rng.uniform(0.0, 2.0, 15), 1.0).reshape(-1, 1, 1)
+        m = np.array([0.0, 1.0]).reshape(-1, 1)
+        grid = TeleportConfig(r, gamma_t, m, np.array([0.6, 1.0]))
+        kappa_sq = grid.kappa_sq
+        fidelity = fidelity_coherent(grid)
+        threshold = eta_threshold(r, gamma_t, m)
+        assert kappa_sq.shape == fidelity.shape == (41, 16, 2, 2)
+        assert threshold.shape == (41, 16, 2, 1)
+        assert IMPOSSIBLE in threshold
+        for i, j, k, n in np.ndindex(kappa_sq.shape):
+            config = TeleportConfig(r[i, 0, 0, 0], gamma_t[j, 0, 0], m[k, 0], grid.eta[n])
+            assert kappa_sq[i, j, k, n] == config.kappa_sq
+            assert fidelity[i, j, k, n] == fidelity_coherent(config)
+            assert threshold[i, j, k, 0] == eta_threshold(config.r, config.gamma_t, config.thermal_photons)
+        # numbers still give Python floats
+        a = effective_kappa_contribution(0.9, LossChannel(0.4, 0.6))
+        assert type(a) is type(eta_threshold(0.9, 0.4, 0.6)) is type(TeleportConfig(0.9).kappa_sq) is float
+
+    @pytest.mark.parametrize(
+        "r, gamma_t, m, eta",
+        [([0.5, math.nan], 0.0, 0.0, 1.0), (0.5, [0.0, -1.0], 0.0, 1.0), (0.5, 0.0, [0.0, math.inf], 1.0), (0.5, 0.0, 0.0, [0.9, 0.0])],
+    )
+    def test_rejects_any_invalid_element(self, r, gamma_t, m, eta):
+        r, gamma_t, m, eta = (np.asarray(v) for v in (r, gamma_t, m, eta))
+        with pytest.raises(ValueError):
+            TeleportConfig(r, gamma_t, m, eta)
+        if eta.ndim == 0:
+            with pytest.raises(ValueError):
+                eta_threshold(r, gamma_t, m)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         config = TeleportConfig(r=LN2, gamma_t=0.3, thermal_photons=0.5, eta=0.9)
@@ -270,6 +305,9 @@ class TestMonteCarlo:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             teleport_monte_carlo(0.0, TeleportConfig(r=0.5), n_samples=0, seed=1)
+        # closed forms accept r = 400; the twin-beam covariance overflows
+        with pytest.raises(ValueError):
+            teleport_monte_carlo(0, TeleportConfig(r=400), 10, 1)
 
 
 def test_impossible_literal_value():
