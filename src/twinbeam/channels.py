@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianOperator, require_finite_nonnegative, require_physical
+from .gaussian import GaussianOperator, require_all, require_finite_nonnegative, require_physical
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,15 @@ def effective_kappa_contribution(r: float, channel: LossChannel) -> float:
 
     Equals e^{-gamma_t - 2r} + (2M + 1)(1 - e^{-gamma_t}): four times the
     variance of the damped twin-beam difference quadrature.  An array of
-    r, or a grid of channels, broadcasts.
+    r, or a grid of channels, broadcasts.  Raises ValueError where 2M + 1
+    overflows, as it does for an M near the float limit.
     """
     require_finite_nonnegative("r", r)
     t = channel.transmission
-    # as in float arithmetic, an M near the float limit gives inf, or NaN
-    # where 1 - t is 0, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return t * _exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+        kappa = t * _exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+    require_all(kappa < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
+    return kappa
 
 
 def _exp(x):

@@ -12,6 +12,12 @@ one flat table as CSV or JSON.
 * ``oracle-check``: Gaussian engine vs number-basis brute force, with
   per-row discrepancies and a pass verdict (process exit 1 on any fail).
 
+Parameters take one path.  A spec file's entries, overridden by the
+flags given, merge into one dict; each value passes its kind's converter
+(grid, integer, format or path) once, whether flag text or JSON; unset
+ones take the defaults of :class:`SweepSpec` or :func:`run_oracle_check`.
+``_PARAMS`` names each parameter once, for the parser and the spec keys.
+
 Floats are printed with 17 significant digits so the tables round-trip
 exactly; each distinct cell of a column is formatted once.  Identical
 parameters give byte-identical tables, equal to the scalar library
@@ -74,15 +80,6 @@ PURITY_TOL = 1e-4
 DENSITY_TOL = 1e-6
 
 DEFAULT_LEAKAGE_BOUND = 1e-6
-
-_ORACLE_DEFAULTS = {
-    "lam": (0.3, 1.0 / math.sqrt(3.0), 0.8),
-    "eta": (0.6, 0.8, 1.0),
-    "x": (-1.0, 0.0, 0.7),
-    "cutoff": 40,
-    "nodes": 40,
-}
-
 
 class ConfigurationError(ValueError):
     """Unusable parameter combination (usage error, process exit 2)."""
@@ -206,9 +203,9 @@ def run_teleport_sweep(spec: SweepSpec) -> Table:
 
 
 def run_oracle_check(
-    lam_values,
-    eta_values,
-    x_values,
+    lam=(0.3, 1.0 / math.sqrt(3.0), 0.8),
+    eta=(0.6, 0.8, 1.0),
+    x=(-1.0, 0.0, 0.7),
     cutoff: int = 40,
     nodes: int = 40,
     leakage_bound: float = DEFAULT_LEAKAGE_BOUND,
@@ -220,9 +217,9 @@ def run_oracle_check(
     record density.  Raises ConfigurationError when the truncation
     leaks more than ``leakage_bound`` for some requested lam.
     """
-    lam_values = [float(v) for v in lam_values]
-    eta_values = [float(v) for v in eta_values]
-    x_values = [float(v) for v in x_values]
+    lam_values = [float(v) for v in lam]
+    eta_values = [float(v) for v in eta]
+    x_values = [float(v) for v in x]
     if not (lam_values and eta_values and x_values):
         raise ConfigurationError("lam, eta and x grids must be nonempty")
     for lam in lam_values:
@@ -308,18 +305,19 @@ def rows_to_json(table: Table) -> str:
     return json.dumps(table.rows(), indent=2) + "\n"
 
 
+def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
+    """``count`` evenly spaced values from ``start`` to ``stop`` inclusive."""
+    if count < 1:
+        raise ConfigurationError("a range needs a count of at least 1")
+    return tuple(np.linspace(start, stop, count).tolist())
+
+
 def _parse_range(text: str, flag: str) -> tuple[float, ...]:
     """Accept 'a:b:n' (inclusive linspace), 'v1,v2,...' or a single value."""
-    text = str(text).strip()
     try:
         if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError
-            return tuple(float(v) for v in np.linspace(start, stop, count))
+            start, stop, count = text.split(":")
+            return _linspace(float(start), float(stop), _integer(count, flag))
         return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigurationError(
@@ -327,24 +325,72 @@ def _parse_range(text: str, flag: str) -> tuple[float, ...]:
         ) from None
 
 
-def _values_from_spec(value, flag: str) -> tuple[float, ...]:
-    """Range syntax for JSON spec files: scalar, list, range string or
-    a {start, stop, count} object."""
+def _number(value, flag: str) -> float:
+    if type(value) in (int, float):  # a bool is not a number here
+        return float(value)
+    raise ConfigurationError(f"{flag} expects numbers; got {value!r}")
+
+
+def _integer(value, flag: str) -> int:
+    """An integer, or its decimal text; a float or a bool is not one."""
+    try:
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{flag} expects an integer; got {value!r}")
+
+
+def _grid(value, flag: str) -> tuple[float, ...]:
+    """Grid values from range text, a list of numbers, a {start, stop,
+    count} object or one number."""
     if isinstance(value, str):
         return _parse_range(value, flag)
     if isinstance(value, dict):
         missing = {"start", "stop", "count"} - set(value)
         if missing:
             raise ConfigurationError(f"{flag} range object lacks {sorted(missing)}")
-        count = int(value["count"])
-        if count < 1:
-            raise ConfigurationError(f"{flag} count must be at least 1")
-        return tuple(
-            float(v) for v in np.linspace(float(value["start"]), float(value["stop"]), count)
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return (float(value),)
+        bounds = (_number(value["start"], flag), _number(value["stop"], flag))
+        return _linspace(*bounds, _integer(value["count"], f"{flag} count"))
+    if isinstance(value, list):
+        return tuple(_number(v, flag) for v in value)
+    return (_number(value, flag),)
+
+
+def _format(value, flag: str) -> str:
+    if value in ("csv", "json"):
+        return value
+    raise ConfigurationError(f"{flag} expects csv or json; got {value!r}")
+
+
+def _path(value, flag: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigurationError(f"{flag} expects a path; got {value!r}")
+
+
+# Every parameter: name -> (keyword of the function that runs it,
+# converter, help).  The name is a spec file's key and, with '-' for '_', the flag.
+_PARAMS = {
+    "r": ("r", _grid, "squeezing; values as start:stop:count, v1,v2,..., or a single number"),
+    "N": ("n", _grid, "total photon number, alternative to --r"),
+    "eta": ("eta", _grid, "detection efficiency in (0, 1]"),
+    "x": ("x", _grid, "homodyne record values"),
+    "gamma_t": ("gamma_t", _grid, "dimensionless damping time"),
+    "M": ("thermal_photons", _grid, "bath thermal occupation"),
+    "lam": ("lam", _grid, "tanh(r) of the twin beam, in [0, 1)"),
+    "cutoff": ("cutoff", _integer, "number-basis cutoff per mode"),
+    "nodes": ("nodes", _integer, "quadrature nodes for noisy records"),
+    "format": ("format", _format, "csv (default) or json"),
+    "out": ("out", _path, "output path, or stdout (default)"),
+}
+
+# subcommand -> (help, the parameters besides format and out)
+_COMMANDS = {
+    "remote-prep": ("heralded-state parameter sweep", ("r", "N", "eta", "x")),
+    "teleport": ("teleportation figures of merit", ("r", "N", "eta", "gamma_t", "M")),
+    "oracle-check": ("Gaussian engine vs number basis", ("lam", "eta", "x", "cutoff", "nodes")),
+}
 
 
 def _load_spec_file(path: str) -> dict:
@@ -357,26 +403,14 @@ def _load_spec_file(path: str) -> dict:
         raise ConfigurationError(f"spec file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ConfigurationError("spec file must hold a JSON object")
+    unknown = sorted(set(payload) - set(_PARAMS))
+    if unknown:
+        raise ConfigurationError(f"spec file keys {unknown} name no flag; keys are {list(_PARAMS)}")
     return payload
 
 
-def _merge(args: argparse.Namespace, spec: dict, key: str, default=None):
-    """Flag value if given, else spec-file value, else default."""
-    flag_value = getattr(args, key.replace("-", "_"), None)
-    if flag_value is not None:
-        return flag_value
-    if key in spec:
-        return spec[key]
-    return default
-
-
-def _grid_param(args, spec, key: str, default=None) -> tuple[float, ...] | None:
-    value = _merge(args, spec, key)
-    if value is None:
-        return default
-    if isinstance(value, str):
-        return _parse_range(value, f"--{key}")
-    return _values_from_spec(value, f"--{key}")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -385,65 +419,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Twin-beam remote state preparation and teleportation tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    grid_help = "values as start:stop:count, v1,v2,..., or a single number"
-
-    def add_common(p: argparse.ArgumentParser):
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None, help="output path, or stdout")
-        p.add_argument("--spec", default=None, help="JSON file of parameters")
-
-    p_rp = sub.add_parser("remote-prep", help="heralded-state parameter sweep")
-    p_rp.add_argument("--r", default=None, help=f"squeezing; {grid_help}")
-    p_rp.add_argument("--N", default=None, help="total photon number, alternative to --r")
-    p_rp.add_argument("--eta", default=None, help="homodyne efficiency in (0, 1]")
-    p_rp.add_argument("--x", default=None, help="homodyne record values")
-    add_common(p_rp)
-
-    p_tp = sub.add_parser("teleport", help="teleportation figures of merit")
-    p_tp.add_argument("--r", default=None, help=f"squeezing; {grid_help}")
-    p_tp.add_argument("--N", default=None, help="total photon number, alternative to --r")
-    p_tp.add_argument("--eta", default=None, help="detection efficiency in (0, 1]")
-    p_tp.add_argument("--gamma-t", default=None, help="dimensionless damping time")
-    p_tp.add_argument("--M", default=None, help="bath thermal occupation")
-    add_common(p_tp)
-
-    p_oc = sub.add_parser("oracle-check", help="Gaussian engine vs number basis")
-    p_oc.add_argument("--lam", default=None, help="tanh(r) of the twin beam, in [0, 1)")
-    p_oc.add_argument("--eta", default=None, help="homodyne efficiency in (0, 1]")
-    p_oc.add_argument("--x", default=None, help="homodyne record values")
-    p_oc.add_argument("--cutoff", type=int, default=None, help="number-basis cutoff per mode")
-    p_oc.add_argument("--nodes", type=int, default=None, help="quadrature nodes for noisy records")
-    add_common(p_oc)
+    for command, (help_text, names) in _COMMANDS.items():
+        # flags not given stay out of the namespace, so they override nothing
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        for name in (*names, "format", "out"):
+            p.add_argument(_flag(name), help=_PARAMS[name][2])
+        p.add_argument("--spec", help="JSON file of parameters; flags override it")
     return parser
 
 
-def _dispatch(args: argparse.Namespace, spec: dict):
-    if args.command == "remote-prep":
-        sweep = SweepSpec(
-            r=_grid_param(args, spec, "r"),
-            n=_grid_param(args, spec, "N"),
-            eta=_grid_param(args, spec, "eta", (1.0,)),
-            x=_grid_param(args, spec, "x", (0.0,)),
-        )
-        return run_remote_prep_sweep(sweep), REMOTE_PREP_COLUMNS
-    if args.command == "teleport":
-        sweep = SweepSpec(
-            r=_grid_param(args, spec, "r"),
-            n=_grid_param(args, spec, "N"),
-            eta=_grid_param(args, spec, "eta", (1.0,)),
-            gamma_t=_grid_param(args, spec, "gamma_t", (0.0,)),
-            thermal_photons=_grid_param(args, spec, "M", (0.0,)),
-        )
-        return run_teleport_sweep(sweep), TELEPORT_COLUMNS
-    table = run_oracle_check(
-        _grid_param(args, spec, "lam", _ORACLE_DEFAULTS["lam"]),
-        _grid_param(args, spec, "eta", _ORACLE_DEFAULTS["eta"]),
-        _grid_param(args, spec, "x", _ORACLE_DEFAULTS["x"]),
-        cutoff=int(_merge(args, spec, "cutoff", _ORACLE_DEFAULTS["cutoff"])),
-        nodes=int(_merge(args, spec, "nodes", _ORACLE_DEFAULTS["nodes"])),
-    )
-    return table, ORACLE_COLUMNS
+def _run(command: str, values: dict) -> tuple[Table, tuple[str, ...]]:
+    if command == "oracle-check":
+        return run_oracle_check(**values), ORACLE_COLUMNS
+    if command == "teleport":
+        return run_teleport_sweep(SweepSpec(**values)), TELEPORT_COLUMNS
+    return run_remote_prep_sweep(SweepSpec(**values)), REMOTE_PREP_COLUMNS
 
 
 def main(argv=None) -> int:
@@ -455,27 +445,32 @@ def main(argv=None) -> int:
         if re.match(r"-[\d.]", argv[i]) and argv[i - 1].startswith("--") and "=" not in argv[i - 1]:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        flags = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    command = flags.pop("command")
+    names = (*_COMMANDS[command][1], "format", "out")
     try:
-        spec = _load_spec_file(args.spec) if args.spec else {}
-        table, columns = _dispatch(args, spec)
+        spec = _load_spec_file(flags.pop("spec")) if "spec" in flags else {}
+        # a sibling subcommand's keys are ignored, so one file serves several
+        given = {name: v for name, v in spec.items() if name in names} | flags
+        values = {_PARAMS[name][0]: _PARAMS[name][1](v, _flag(name)) for name, v in given.items()}
+        fmt, out = values.pop("format", "csv"), values.pop("out", "stdout")
+        table, columns = _run(command, values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fmt = _merge(args, spec, "format", "csv")
-    if fmt not in ("csv", "json"):
-        print(f"error: unknown format {fmt!r}", file=sys.stderr)
-        return 2
     text = rows_to_csv(table, columns) if fmt == "csv" else rows_to_json(table)
-    out = _merge(args, spec, "out", "stdout")
     if out in ("stdout", "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.command == "oracle-check" and not table.columns["pass"].all():
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 2
+    if command == "oracle-check" and not table.columns["pass"].all():
         return 1
     return 0
 

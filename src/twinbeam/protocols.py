@@ -89,11 +89,14 @@ class TeleportConfig:
     @property
     def kappa_sq(self) -> float:
         """Total added noise e^{-gamma_t - 2r} + (2M+1)(1 - e^{-gamma_t})
-        + (1 - eta)/eta."""
-        return (
-            effective_kappa_contribution(self.r, self.channel())
-            + (1.0 - self.eta) / self.eta
-        )
+        + (1 - eta)/eta; ValueError where it overflows."""
+        with np.errstate(over="ignore"):
+            kappa = (
+                effective_kappa_contribution(self.r, self.channel())
+                + (1.0 - self.eta) / self.eta
+            )
+        require_all(kappa < math.inf, "kappa_sq overflows")
+        return kappa
 
 
 def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
@@ -162,8 +165,7 @@ def eta_threshold(r, gamma_t, thermal_photons=0.0):
     broadcast to an object array of such values.
     """
     a = effective_kappa_contribution(r, LossChannel(gamma_t, thermal_photons))
-    # min(1, 1/(2 - a)) = 1/(2 - min(a, 1)); fmin also takes a NaN a, which
-    # (2M + 1)(1 - e^{-gamma_t}) gives when 2M + 1 overflows, to 1
+    # min(1, 1/(2 - a)) = 1/(2 - min(a, 1))
     threshold = np.asarray(1.0 / (2.0 - np.fmin(a, 1.0))).astype(object)
     # a <= 1 always holds for a vacuum bath; the epsilon absorbs the
     # 1-ulp rounding of that boundary so M = 0 never reports impossible

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     HomodyneSetting,
@@ -240,6 +242,10 @@ class TestMain:
             ["teleport", "--r", "0.5", "--eta", "0.9,0"],
             ["remote-prep", "--r", "1", "--x", "nan"],  # non-finite record
             ["teleport", "--r", "0.5", "--seed", "5"],  # --seed is gone
+            ["teleport", "--r", "0.3", "--M", "1e308", "--gamma-t", "0,0.1"],  # 2M + 1 overflows
+            ["teleport", "--r", "0.3", "--eta", "5e-324"],  # (1 - eta)/eta overflows
+            ["oracle-check", "--cutoff", "30.9"],  # not an integer
+            ["teleport", "--r", "0.5", "--format", "xml"],
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
@@ -258,12 +264,37 @@ class TestMain:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_bad_spec_file(self, tmp_path, capsys):
+    def test_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.csv"
+        assert main(["teleport", "--r", "0.5", "--out", str(target)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_bad_spec_file(self, tmp_path, capsys, monkeypatch):
         broken = tmp_path / "broken.json"
         broken.write_text("[1, 2, 3]")
         assert main(["remote-prep", "--spec", str(broken)]) == 2
         missing = tmp_path / "missing.json"
         assert main(["remote-prep", "--spec", str(missing)]) == 2
+        # each file would give a table if its one bad entry were ignored or coerced
+        monkeypatch.chdir(tmp_path)
+        base = {"teleport": ["--r", "0.5"], "oracle-check": ["--lam", "0.3", "--eta", "1", "--x", "0"]}
+        for command, payload in [
+            ("teleport", {"gamma-t": 0.3}),  # a flag is --gamma-t, its key gamma_t
+            ("teleport", {"seed": 5}),
+            ("teleport", {"spec": "other.json"}),
+            ("oracle-check", {"cutoff": 30.9}),
+            ("oracle-check", {"cutoff": 40.0}),  # as --cutoff 40.0
+            ("oracle-check", {"nodes": True}),
+            ("teleport", {"format": "xml"}),
+            ("teleport", {"out": 5}),
+            ("teleport", {"eta": None}),
+            ("teleport", {"eta": [0.9, "1"]}),
+            ("teleport", {"eta": {"start": 0.5, "stop": 1, "count": 2.0}}),
+        ]:
+            broken.write_text(json.dumps(payload))
+            assert main([command, *base[command], "--spec", str(broken)]) == 2, payload
+            assert "error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [broken]
 
 
 def _csv(rows, columns) -> str:
@@ -422,3 +453,81 @@ class TestTablesMatchScalarCalls:
         assert capsys.readouterr().out == ",".join(TELEPORT_COLUMNS) + "\n"
         assert main(["remote-prep", "--spec", str(spec), "--format", "json"]) == 0
         assert capsys.readouterr().out == "[]\n"
+
+
+# Grid bounds each parameter is valid within; lam keeps cutoff 20 under the leakage bound.
+_BOUNDS = {
+    "r": (0.0, 2.0),
+    "N": (0.0, 4.0),
+    "eta": (0.05, 1.0),
+    "x": (-2.0, 2.0),
+    "gamma_t": (0.0, 2.0),
+    "M": (0.0, 2.0),
+    "lam": (0.0, 0.6),
+}
+_AXES = {
+    "remote-prep": ("eta", "x"),
+    "teleport": ("eta", "gamma_t", "M"),
+    "oracle-check": ("eta", "x"),
+}
+
+
+@st.composite
+def _axis(draw, name):
+    """One grid as (spec-file value, flag text), the value in a form drawn
+    from range text, list, range object and number."""
+    values = st.floats(*_BOUNDS[name])
+    form = draw(st.sampled_from(["text", "list", "object", "number"]))
+    if form == "number":
+        value = draw(values)
+        return value, repr(value)
+    if form == "list" or draw(st.booleans()):
+        value = draw(st.lists(values, min_size=1, max_size=3))
+        text = ",".join(map(repr, value))
+    else:
+        value = {"start": draw(values), "stop": draw(values), "count": draw(st.integers(1, 3))}
+        text = "{start!r}:{stop!r}:{count}".format(**value)
+    return (text if form == "text" else value), text
+
+
+@st.composite
+def _parameters(draw, command):
+    """Spec-file entries and the equivalent flag texts, by parameter name."""
+    names = ["lam" if command == "oracle-check" else draw(st.sampled_from(["r", "N"]))]
+    names += [name for name in _AXES[command] if draw(st.booleans())]
+    drawn = {name: draw(_axis(name)) for name in names}
+    if command == "oracle-check":
+        for name, low, high in (("cutoff", 20, 30), ("nodes", 2, 8)):
+            count = draw(st.integers(low, high))
+            drawn[name] = (draw(st.sampled_from([count, str(count)])), str(count))
+    return drawn
+
+
+def _flags(command, drawn) -> list[str]:
+    return [command] + [f"--{name.replace('_', '-')}={text}" for name, (_, text) in drawn.items()]
+
+
+class TestSpecFileEqualsFlags:
+    """A spec file is the same input as the flags that spell it: every
+    value passes the same converter, whichever source it came from."""
+
+    @pytest.mark.parametrize("command", list(_AXES))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_same_tables_and_flags_override(self, command, data, tmp_path, capsys):
+        drawn = data.draw(_parameters(command))
+        name = data.draw(st.sampled_from([name for name in drawn if name in _BOUNDS]))
+        override = {name: data.draw(_axis(name))}
+        spec = tmp_path / "spec.json"
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        for fmt in ("csv", "json"):
+            spec.write_text(json.dumps({**{k: v for k, (v, _) in drawn.items()}, "format": fmt}))
+            by_flags = run(_flags(command, drawn) + ["--format", fmt])
+            assert by_flags[0] in ((0, 1) if command == "oracle-check" else (0,))
+            assert run([command, "--spec", str(spec)]) == by_flags
+            overridden = run(_flags(command, {**drawn, **override}) + ["--format", fmt])
+            assert run(_flags(command, override) + ["--spec", str(spec)]) == overridden

@@ -282,6 +282,34 @@ class TestBroadcast:
                 eta_threshold(r, gamma_t, m)
 
 
+class TestOverflow:
+    """Figures that would not be finite raise ValueError, for numbers and
+    arrays alike; a numpy warning on the way would fail the test."""
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("gamma_t", [0.0, 0.1])
+    def test_bath_noise_overflow_raises(self, gamma_t, as_array):
+        # 2M + 1 overflows: inf * 0 at gamma_t = 0, inf beyond
+        r, gamma_t, m = (np.array([v]) if as_array else v for v in (0.3, gamma_t, 1e308))
+        config = TeleportConfig(r, gamma_t, m)
+        for figure in (
+            lambda: effective_kappa_contribution(r, LossChannel(gamma_t, m)),
+            lambda: config.kappa_sq,
+            lambda: fidelity_coherent(config),
+            lambda: eta_threshold(r, gamma_t, m),
+        ):
+            with pytest.raises(ValueError, match="overflows"):
+                figure()
+
+    @pytest.mark.parametrize("eta", [5e-324, np.array([0.9, 5e-324])])
+    def test_efficiency_noise_overflow_raises(self, eta):
+        config = TeleportConfig(0.3, eta=eta)
+        with pytest.raises(ValueError, match="overflows"):
+            config.kappa_sq
+        with pytest.raises(ValueError, match="overflows"):
+            fidelity_coherent(config)
+
+
 class TestMonteCarlo:
     def test_deterministic(self):
         config = TeleportConfig(r=LN2, gamma_t=0.3, thermal_photons=0.5, eta=0.9)
