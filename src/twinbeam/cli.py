@@ -309,6 +309,8 @@ def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
     """``count`` evenly spaced values from ``start`` to ``stop`` inclusive."""
     if count < 1:
         raise ConfigurationError("a range needs a count of at least 1")
+    if not math.isfinite(stop - start):  # also a non-finite start or stop
+        raise ConfigurationError(f"a range needs a finite span; got {start!r} to {stop!r}")
     return tuple(np.linspace(start, stop, count).tolist())
 
 

@@ -5,6 +5,9 @@ complements), never by discretizing a measurement kernel.  The
 conditional covariance does not depend on the record, so
 ``double_homodyne_condition`` takes an array of records at once and
 returns the family of conditional states as one batched operator.
+A complex record alpha = x + iy is read as the phase-space point
+(x, -y): the conjugated records, viewed as float pairs, are the points
+with no copy, and the samplers return the records the same way.
 
 Detector efficiency ``eta`` follows the equivalent-noise picture: an
 inefficient homodyne of a quadrature behaves like a perfect one whose
@@ -15,12 +18,15 @@ record picks up independent Gaussian noise of variance
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gaussian import (
     GaussianOperator,
+    add_points,
     normal_density,
     require_physical,
     require_single,
@@ -31,6 +37,20 @@ from .gaussian import (
 def _generator(seed: int) -> np.random.Generator:
     # Philox is counter-based: reproducible and cheap to fork by seed.
     return np.random.Generator(np.random.Philox(int(seed)))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_sample_count(n_samples, minimum: int = 0) -> int:
+    """``n_samples`` as an int; ValueError unless it is an integer (not a
+    bool) of at least ``minimum``."""
+    if not _is_integer(n_samples):
+        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
+    if n_samples < minimum:
+        raise ValueError(f"n_samples must be at least {minimum}")
+    return int(n_samples)
 
 
 @dataclass(frozen=True)
@@ -48,11 +68,16 @@ class HomodyneSetting:
     efficiency: float = 1.0
 
     def __post_init__(self):
+        if not _is_integer(self.mode):
+            raise ValueError(f"mode must be an integer, not {self.mode!r}")
         if self.mode < 0:
             raise ValueError("mode must be nonnegative")
+        phase = float(self.phase)
+        if not math.isfinite(phase):
+            raise ValueError("phase must be finite")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
-        object.__setattr__(self, "phase", float(self.phase) % (2.0 * math.pi))
+        object.__setattr__(self, "phase", phase % (2.0 * math.pi))
 
     @property
     def noise_variance(self) -> float:
@@ -86,11 +111,17 @@ class ConditionalOutcome:
     """Result of conditioning: outcome density and the remaining state.
 
     For an array of records, ``probability_density`` is an array of the
-    records' shape and ``state`` the matching family of states.
+    records' shape and ``state`` the matching family of states.  The
+    density is evaluated on first read, so a caller that needs only the
+    states does not pay for it.
     """
 
-    probability_density: float | np.ndarray
     state: GaussianOperator
+    _density: Callable[[], float | np.ndarray] = field(repr=False)
+
+    @cached_property
+    def probability_density(self) -> float | np.ndarray:
+        return self._density()
 
 
 @dataclass(frozen=True)
@@ -156,8 +187,8 @@ def condition_homodyne(
     keep[2 * setting.mode : 2 * setting.mode + 2] = False
     cov = cov[np.ix_(keep, keep)]
     return ConditionalOutcome(
-        probability_density=density,
         state=GaussianOperator(mean=mean[keep], cov=0.5 * (cov + cov.T)),
+        _density=lambda: density,
     )
 
 
@@ -172,9 +203,10 @@ def sample_homodyne(
     Returns a scalar when ``n_samples`` is None, else an array of that
     length from the same deterministic stream.
     """
+    size = None if n_samples is None else require_sample_count(n_samples)
     dens = homodyne_density(state, setting)
     rng = _generator(seed)
-    draws = rng.normal(dens.mean, math.sqrt(dens.variance), size=n_samples)
+    draws = rng.normal(dens.mean, math.sqrt(dens.variance), size=size)
     return float(draws) if n_samples is None else draws
 
 
@@ -204,18 +236,14 @@ def double_homodyne_condition(
     and one conditional state per record, all sharing one covariance.
     """
     ref_t, s_obs, gain, cov_cond = _double_homodyne_blocks(state, setting)
-    alpha = np.asarray(alpha)
+    offset = add_points(ref_t.mean, state.mean[..., :2], np.subtract)
     # the POVM element is centred on the transposed reference displaced by
-    # alpha, i.e. shifted by (Re alpha, -Im alpha)
-    record = np.zeros(alpha.shape + (2,))
-    record[..., 0] = alpha.real
-    record[..., 1] = -alpha.imag
-    shift = ref_t.mean + record - state.mean[..., :2]
-    density = state.weight * normal_density(shift, s_obs)
-    mean_cond = state.mean[..., 2:] + shift @ gain.T
+    # alpha, i.e. shifted by the point (Re alpha, -Im alpha)
+    shift = add_points(np.asarray(alpha, dtype=complex)[..., None].conj().view(float), offset)
+    mean_cond = add_points(state.mean[..., 2:], shift @ gain.T)
     return ConditionalOutcome(
-        probability_density=density,
         state=GaussianOperator(mean=mean_cond, cov=cov_cond),
+        _density=lambda: state.weight * normal_density(shift, s_obs),
     )
 
 
@@ -228,10 +256,12 @@ def sample_double_homodyne(
     """Draw joint records alpha = x + iy; seed-deterministic like
     :func:`sample_homodyne`."""
     require_single(state, "double homodyne sampling")
+    size = 1 if n_samples is None else require_sample_count(n_samples)
     ref_t, s_obs, _, _ = _double_homodyne_blocks(state, setting)
     rng = _generator(seed)
-    size = 1 if n_samples is None else int(n_samples)
-    obs = state.mean[:2] + rng.standard_normal((size, 2)) @ np.linalg.cholesky(s_obs).T
-    # invert povm_mean = ref_t.mean + (x, -y) for the record value
-    alpha = (obs[:, 0] - ref_t.mean[0]) - 1j * (obs[:, 1] - ref_t.mean[1])
+    draws = rng.standard_normal((size, 2)) @ np.linalg.cholesky(s_obs).T
+    # the observed point state.mean[:2] + draws is the POVM centre
+    # ref_t.mean + (x, -y); the record x + iy is its conjugated offset
+    point = add_points(draws, add_points(state.mean[:2], ref_t.mean, np.subtract))
+    alpha = point.view(complex)[:, 0].conj()
     return complex(alpha[0]) if n_samples is None else alpha

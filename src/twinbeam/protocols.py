@@ -31,7 +31,12 @@ from .gaussian import (
     require_physical,
     twb,
 )
-from .measurement import DoubleHomodyneSetting, double_homodyne_condition, sample_double_homodyne
+from .measurement import (
+    DoubleHomodyneSetting,
+    double_homodyne_condition,
+    require_sample_count,
+    sample_double_homodyne,
+)
 
 # Distinguished return value of eta_threshold: no efficiency in (0, 1]
 # makes the teleported state conditionally squeezed.
@@ -98,6 +103,11 @@ class TeleportConfig:
         require_all(kappa < math.inf, "kappa_sq overflows")
         return kappa
 
+    def require_single(self, what: str) -> None:
+        """Reject a grid of configurations where one is needed."""
+        if any(np.ndim(v) for v in (self.r, self.gamma_t, self.thermal_photons, self.eta)):
+            raise ValueError(f"{what} takes one configuration, not a grid")
+
 
 def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
     """Closed-form state prepared by homodyning one twin-beam arm.
@@ -145,6 +155,7 @@ def teleport_gaussian(state: GaussianOperator, config: TeleportConfig) -> Gaussi
     require_physical(state)
     if state.n_modes != 1:
         raise ValueError("teleportation acts on a single-mode input")
+    config.require_single("teleport_gaussian")
     noise = 0.5 * config.kappa_sq * np.eye(2)
     return GaussianOperator(
         mean=state.mean, cov=state.cov + noise, weight=state.weight
@@ -185,11 +196,12 @@ def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, see
     The conditional covariance does not depend on the record, so all
     conditioned states form one batched operator.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = require_sample_count(n_samples, minimum=1)
+    config.require_single("teleport_monte_carlo")
     resource = evolve(twb(config.r), config.channel())
     reference = coherent(z)
     setting = DoubleHomodyneSetting(reference=reference, efficiency=config.eta)
     alphas = sample_double_homodyne(resource, setting, seed, n_samples)
-    out = double_homodyne_condition(resource, setting, alphas)
-    return float(np.mean(overlap(displace(out.state, 0, -alphas), reference)))
+    # keep only the states: the outcome's lazy density holds every record's shift
+    states = double_homodyne_condition(resource, setting, alphas).state
+    return float(np.mean(overlap(displace(states, 0, -alphas), reference)))

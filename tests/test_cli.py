@@ -246,11 +246,14 @@ class TestMain:
             ["teleport", "--r", "0.3", "--eta", "5e-324"],  # (1 - eta)/eta overflows
             ["oracle-check", "--cutoff", "30.9"],  # not an integer
             ["teleport", "--r", "0.5", "--format", "xml"],
+            ["teleport", "--r", "0:inf:3"],  # a range's span must be finite
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
         assert main(argv) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("values", ["-1,0,0.7", "-2:2:50", "-1"])
     def test_negative_grid_values(self, values, capsys):

@@ -26,6 +26,7 @@ from twinbeam import (
     vacuum,
     wigner_eval,
 )
+from twinbeam.gaussian import add_points
 
 # r for a twin beam with N = 1 photon per arm (lam = 1/sqrt(3))
 R_N1 = 0.6584789484624085
@@ -388,6 +389,31 @@ class TestBatched:
             np.testing.assert_array_equal(marginal(family, [1]).mean[k], marginal(one, [1]).mean)
             flipped = transpose_wigner(family).mean[k]
             np.testing.assert_array_equal(flipped, transpose_wigner(one).mean)
+
+    @pytest.mark.parametrize("op", [np.add, np.subtract])
+    def test_add_points_equals_plain_operation(self, op):
+        rng = np.random.Generator(np.random.Philox(4))
+        family = rng.normal(size=(50, 3, 4))
+        for a, b in [
+            (family, rng.normal(size=4)),  # a family and one point
+            (rng.normal(size=(3, 4)), family),  # broadcast over a leading axis
+            (family[..., :2], family[..., 2:]),  # strided mode blocks
+            (family[..., ::2], rng.normal(size=2)),  # x columns only: no pair view
+            (rng.normal(size=2), rng.normal(size=2)),  # one point each
+        ]:
+            got = add_points(a, b, op)
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, op(a, b))
+
+    def test_displace_multimode_family_matches_scalar_calls(self):
+        state = displace(twb(0.6), 0, 0.3 - 0.2j)
+        amplitudes = np.linspace(-2.0, 2.0, 40) * (1.0 - 0.5j)
+        for mode in (0, 1):
+            family = displace(state, mode, amplitudes)
+            assert family.mean.shape == (40, 4)
+            for k, alpha in enumerate(amplitudes):
+                np.testing.assert_array_equal(family.mean[k], displace(state, mode, alpha).mean)
+            np.testing.assert_array_equal(displace(state, mode, 0.5).mean, displace(state, mode, 0.5 + 0j).mean)
 
     def test_single_state_operations_reject_a_family(self):
         family = displace(thermal(0.3), 0, np.array([0.0, 1.0]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     ConditionalOutcome,
@@ -65,6 +67,19 @@ class TestHomodyneSetting:
     def test_mode_nonnegative(self):
         with pytest.raises(ValueError):
             HomodyneSetting(mode=-1)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_phase_finite(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            HomodyneSetting(0, phase, 0.8)
+
+    @pytest.mark.parametrize("mode", [0.5, 1.0, True, False, "0", None])
+    def test_mode_integer(self, mode):
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            HomodyneSetting(mode, 0.0, 0.8)
+
+    def test_numpy_integer_mode(self):
+        assert HomodyneSetting(np.int64(1)).mode == 1
 
 
 class TestConditionHomodyne:
@@ -157,6 +172,25 @@ class TestSampling:
         b = sample_homodyne(state, setting, seed=7, n_samples=5)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n_samples", [2.7, 2.0, True, "3", -1])
+    def test_sample_count_checked(self, n_samples):
+        state = twb(0.5)
+        setting = DoubleHomodyneSetting(reference=coherent(0.0))
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_homodyne(state, HomodyneSetting(0, 0.0, 0.8), seed=1, n_samples=n_samples)
+        with pytest.raises(ValueError, match="n_samples"):
+            sample_double_homodyne(state, setting, seed=1, n_samples=n_samples)
+
+    def test_empty_and_numpy_sample_counts(self):
+        state = twb(0.5)
+        setting = DoubleHomodyneSetting(reference=coherent(0.0))
+        assert sample_homodyne(state, HomodyneSetting(), seed=1, n_samples=0).shape == (0,)
+        assert sample_double_homodyne(state, setting, seed=1, n_samples=0).shape == (0,)
+        np.testing.assert_array_equal(
+            sample_double_homodyne(state, setting, seed=1, n_samples=np.int32(3)),
+            sample_double_homodyne(state, setting, seed=1, n_samples=3),
+        )
+
     def test_sample_statistics(self):
         # one twin-beam arm with N = 1 has record variance (1 + N)/4 = 1/2
         r = squeezing_from_photon_number(1.0)
@@ -235,6 +269,8 @@ class TestDoubleHomodyne:
         )
         assert isinstance(out, ConditionalOutcome)
         assert out.probability_density > 0.0
+        # evaluated once, on first read
+        assert out.probability_density is out.probability_density
 
 
 class TestBatchedRecords:
@@ -282,3 +318,69 @@ class TestBatchedRecords:
             sample_double_homodyne(family, self.SETTING, seed=1)
         with pytest.raises(ValueError):
             DoubleHomodyneSetting(reference=coherent(np.array([0.0, 1.0j])))
+
+
+def _record_batch():
+    """Records of shape (), (k,) or (k, j), as float or complex arrays or
+    as Python floats and complex numbers; some batches are large enough
+    that their points are added as complex pairs."""
+    value = st.floats(-6.0, 6.0)
+    kinds = {float: value, complex: st.builds(complex, value, value)}
+    shape = st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, 40)),
+        st.tuples(st.integers(1, 6), st.integers(1, 8)),
+    )
+
+    def batch(args):
+        shape, dtype = args
+        size = math.prod(shape)
+        return st.lists(kinds[dtype], min_size=size, max_size=size).map(
+            lambda values: np.array(values, dtype=dtype).reshape(shape)
+        )
+
+    return st.one_of(*kinds.values(), st.tuples(shape, st.sampled_from(list(kinds))).flatmap(batch))
+
+
+class TestPipelineProperty:
+    """Batched conditioning -> correction -> overlap equals the per-record calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.0, 2.0),
+        gamma_t=st.floats(0.0, 1.5),
+        m=st.floats(0.0, 1.0),
+        eta=st.floats(0.05, 1.0),
+        z=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        records=_record_batch(),
+        shift=st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        mode=st.sampled_from([0, 1]),
+        family=st.booleans(),
+    )
+    def test_batched_equals_per_record(self, r, gamma_t, m, eta, z, records, shift, mode, family):
+        resource = evolve(twb(r), LossChannel(gamma_t, m))
+        reference = coherent(z)
+        setting = DoubleHomodyneSetting(reference=reference, efficiency=eta)
+        shape = np.shape(records)
+        # a family with nonzero means: one member per record along the last axis
+        shifts = shift * np.linspace(1.0, -0.5, shape[-1] if shape else 3) if family else shift
+        state = displace(resource, mode, shifts)
+
+        batch = double_homodyne_condition(state, setting, records)
+        fids = overlap(displace(batch.state, 0, -np.asarray(records)), reference)
+        dens = batch.probability_density
+
+        full = np.broadcast_shapes(shape, np.shape(shifts))
+        assert np.shape(dens) == np.shape(fids) == full
+        assert batch.state.mean.shape == full + (2,)
+        member_shifts = np.broadcast_to(shifts, full)
+        for idx in np.ndindex(full):
+            alpha = records if np.ndim(records) == 0 else np.broadcast_to(records, full)[idx].item()
+            one = double_homodyne_condition(
+                displace(resource, mode, complex(member_shifts[idx])), setting, alpha
+            )
+            fid = overlap(displace(one.state, 0, -alpha), reference)
+            assert np.asarray(dens)[idx] == pytest.approx(one.probability_density, rel=1e-13)
+            assert np.asarray(fids)[idx] == pytest.approx(fid, rel=1e-13)
+            np.testing.assert_allclose(batch.state.mean[idx], one.state.mean, rtol=1e-13, atol=1e-15)
+            np.testing.assert_array_equal(batch.state.cov, one.state.cov)

@@ -142,6 +142,26 @@ class TestTeleportConfig:
             TeleportConfig(**fields)
 
 
+class TestOneConfiguration:
+    GRIDS = [
+        TeleportConfig(r=np.array([0.5, 0.6])),
+        TeleportConfig(r=0.5, eta=np.array([0.9])),
+        TeleportConfig(r=0.5, gamma_t=np.array([[0.1], [0.2]]), thermal_photons=np.array([0.0, 0.3])),
+    ]
+
+    @pytest.mark.parametrize("config", GRIDS)
+    def test_simulations_reject_a_grid(self, config):
+        with pytest.raises(ValueError, match="one configuration"):
+            teleport_gaussian(coherent(0.0), config)
+        with pytest.raises(ValueError, match="one configuration"):
+            teleport_monte_carlo(0.0, config, 10, 1)
+
+    def test_zero_dimensional_fields_are_one_configuration(self):
+        config = TeleportConfig(r=np.array(0.5), eta=np.float64(0.9))
+        want = teleport_gaussian(coherent(0.0), TeleportConfig(r=0.5, eta=0.9)).cov
+        np.testing.assert_array_equal(teleport_gaussian(coherent(0.0), config).cov, want)
+
+
 class TestTeleportGaussian:
     def test_adds_half_kappa_per_quadrature(self):
         config = TeleportConfig(r=0.3, gamma_t=0.2, thermal_photons=0.4, eta=0.9)
@@ -329,6 +349,21 @@ class TestMonteCarlo:
     def test_statistical_agreement(self, z, config):
         estimate = teleport_monte_carlo(z, config, n_samples=40_000, seed=123)
         assert estimate == pytest.approx(fidelity_coherent(config), abs=0.01)
+
+    def test_pinned_estimate(self):
+        # the estimate of the record-by-record pipeline, pinned across rewrites
+        config = TeleportConfig(0.9, 0.3, 0.2, 0.8)
+        estimate = teleport_monte_carlo(0.3 - 0.2j, config, 10**6, 3)
+        assert estimate == pytest.approx(0.5762924998392626, rel=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, 2.0, True, "10"])
+    def test_sample_count_checked(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            teleport_monte_carlo(0.0, TeleportConfig(r=0.5), n_samples, seed=1)
+
+    def test_numpy_sample_count(self):
+        config = TeleportConfig(r=0.5)
+        assert teleport_monte_carlo(0.1, config, np.int64(50), 2) == teleport_monte_carlo(0.1, config, 50, 2)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
