@@ -26,7 +26,6 @@ from .gaussian import (
     decompose_single_mode,
     displace,
     is_physical,
-    marginal,
     overlap,
     photon_number,
     rotate,
@@ -43,7 +42,6 @@ from .measurement import (
     ConditionalOutcome,
     DoubleHomodyneSetting,
     HomodyneSetting,
-    QuadratureDensity,
     condition_homodyne,
     double_homodyne_condition,
     homodyne_density,
@@ -73,7 +71,6 @@ __all__ = [
     "HomodyneSetting",
     "IMPOSSIBLE",
     "LossChannel",
-    "QuadratureDensity",
     "QuadratureGrid",
     "RemotePrepResult",
     "SqueezedThermalDecomposition",
@@ -92,7 +89,6 @@ __all__ = [
     "gauss_hermite_grid",
     "homodyne_density",
     "is_physical",
-    "marginal",
     "moments_fock",
     "overlap",
     "photon_number",
@@ -109,6 +105,7 @@ __all__ = [
     "thermal",
     "transpose_wigner",
     "twb",
+    "twb_fock",
     "vacuum",
     "wigner_eval",
 ]

@@ -43,23 +43,15 @@ class LossChannel:
         return 0.25 * (2.0 * self.thermal_photons + 1.0) * (1.0 - self.transmission)
 
 
-def evolve(state: GaussianOperator, channel: LossChannel, modes=None) -> GaussianOperator:
-    """Apply the channel to every mode (default) or to ``modes``.
+def evolve(state: GaussianOperator, channel: LossChannel) -> GaussianOperator:
+    """Apply the channel to every mode of ``state``.
 
     Means scale by sqrt(transmission); covariances contract toward the
     bath variance.  The fixed point is the thermal state of the bath.
     """
     require_physical(state)
-    n = state.n_modes
-    which = range(n) if modes is None else sorted(set(int(m) for m in modes))
-    scale = np.ones(2 * n)
-    hit = np.zeros(2 * n, dtype=bool)
-    for m in which:
-        if not 0 <= m < n:
-            raise ValueError(f"mode index {m} out of range for {n} modes")
-        scale[2 * m : 2 * m + 2] = math.sqrt(channel.transmission)
-        hit[2 * m : 2 * m + 2] = True
-    cov = np.outer(scale, scale) * state.cov + np.diag(hit * channel.added_variance)
+    scale = math.sqrt(channel.transmission)
+    cov = (scale * scale) * state.cov + np.diag([channel.added_variance] * (2 * state.n_modes))
     return GaussianOperator(mean=scale * state.mean, cov=cov, weight=state.weight)
 
 

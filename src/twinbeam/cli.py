@@ -32,14 +32,15 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .fock import condition_fock, gauss_hermite_grid, moments_fock, twb_fock
 from .gaussian import photon_number, squeezing_from_photon_number, twb
 from .measurement import HomodyneSetting, condition_homodyne
-from .protocols import TeleportConfig, eta_threshold, fidelity_coherent, remote_prep
+from .protocols import RemotePrepResult, TeleportConfig, eta_threshold, fidelity_coherent
+from .protocols import remote_prep
 
 REMOTE_PREP_COLUMNS = (
     "r",
@@ -79,7 +80,8 @@ MOMENT_TOL = 1e-5
 PURITY_TOL = 1e-4
 DENSITY_TOL = 1e-6
 
-DEFAULT_LEAKAGE_BOUND = 1e-6
+# Largest truncation leakage lam^(2 (cutoff + 1)) that oracle-check accepts.
+LEAKAGE_BOUND = 1e-6
 
 class ConfigurationError(ValueError):
     """Unusable parameter combination (usage error, process exit 2)."""
@@ -112,12 +114,6 @@ class SweepSpec:
             return [float(r) for r in self.r]
         return [squeezing_from_photon_number(float(n)) for n in self.n]
 
-    def squeezing_column(self) -> list[tuple[float, float]]:
-        """(r, N) pairs, deriving whichever of the two was not given."""
-        if self.r is not None:
-            return [(r, photon_number(r)) for r in self.squeezing()]
-        return list(zip(self.squeezing(), (float(n) for n in self.n)))
-
 
 @dataclass(frozen=True)
 class Table:
@@ -148,34 +144,22 @@ def _axes(*values) -> list[np.ndarray]:
     ]
 
 
-def _stack(points: list[dict], names, shape: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """Per-point values, in C order over ``shape``, as one array per name."""
-    return {name: np.reshape([p[name] for p in points], shape) for name in names}
-
-
 def run_remote_prep_sweep(spec: SweepSpec) -> Table:
     """One row per (r, eta, x) grid point of heralded-state parameters."""
-    pairs = spec.squeezing_column()
-    r, eta, x = _axes([r for r, _ in pairs], spec.eta, spec.x)
-    columns = {"r": r, "N": np.reshape([n for _, n in pairs], r.shape), "eta": eta, "x": x}
-    points = []
-    for r_value, _ in pairs:
-        for eta_value in spec.eta:
-            for x_value in spec.x:
-                res = remote_prep(r_value, float(eta_value), float(x_value))
-                points.append(
-                    {
-                        "a_x_eta": res.a_x_eta,
-                        "sigma1_sq": res.sigma1_sq,
-                        "sigma2_sq": res.sigma2_sq,
-                        "n_th": res.n_th,
-                        "r_squeeze": res.r_squeeze,
-                        "is_squeezed": res.is_squeezed,
-                        "density": res.outcome_density,
-                    }
-                )
-    shape = (len(pairs), len(spec.eta), len(spec.x))
-    return Table(shape, {**columns, **_stack(points, REMOTE_PREP_COLUMNS[4:], shape)})
+    r_values = spec.squeezing()
+    n_values = [photon_number(r) for r in r_values] if spec.n is None else list(map(float, spec.n))
+    r, eta, x = _axes(r_values, spec.eta, spec.x)
+    shape = (len(r_values), len(spec.eta), len(spec.x))
+    results = [
+        remote_prep(r_value, float(eta_value), float(x_value))
+        for r_value in r_values
+        for eta_value in spec.eta
+        for x_value in spec.x
+    ]
+    # the result's fields, in order, are the columns after x
+    values = ([getattr(res, f.name) for res in results] for f in fields(RemotePrepResult))
+    columns = (r, np.reshape(n_values, r.shape), eta, x, *(np.reshape(v, shape) for v in values))
+    return Table(shape, dict(zip(REMOTE_PREP_COLUMNS, columns)))
 
 
 def run_teleport_sweep(spec: SweepSpec) -> Table:
@@ -208,14 +192,13 @@ def run_oracle_check(
     x=(-1.0, 0.0, 0.7),
     cutoff: int = 40,
     nodes: int = 40,
-    leakage_bound: float = DEFAULT_LEAKAGE_BOUND,
 ) -> Table:
     """Cross-validate Gaussian conditioning against the number basis.
 
     Every (lam, eta, x) grid point compares conditional quadrature
     moments, purity against the closed-form thermal occupation, and the
     record density.  Raises ConfigurationError when the truncation
-    leaks more than ``leakage_bound`` for some requested lam.
+    leaks more than ``LEAKAGE_BOUND`` for some requested lam.
     """
     lam_values = [float(v) for v in lam]
     eta_values = [float(v) for v in eta]
@@ -226,13 +209,13 @@ def run_oracle_check(
         if not 0.0 <= lam < 1.0:
             raise ConfigurationError(f"lam={lam} must lie in [0, 1)")
         leak = lam ** (2 * (cutoff + 1))
-        if leak >= leakage_bound:
+        if leak >= LEAKAGE_BOUND:
             raise ConfigurationError(
                 f"cutoff {cutoff} leaks {leak:.3g} of lam={lam}; "
-                f"bound is {leakage_bound:.3g}"
+                f"bound is {LEAKAGE_BOUND:.3g}"
             )
     grid = gauss_hermite_grid(nodes)
-    points = []
+    errors = []  # (moment, purity, density) error of each grid point, in C order
     for lam in lam_values:
         r = math.atanh(lam)
         beam = twb(r)
@@ -256,23 +239,13 @@ def run_oracle_check(
                 )
                 n_th = remote_prep(r, eta, x).n_th
                 purity_err = abs(fm.purity - 1.0 / (2.0 * n_th + 1.0))
-                density_err = abs(density - outcome.probability_density)
-                points.append(
-                    {
-                        "max_moment_err": moment_err,
-                        "purity_err": purity_err,
-                        "density_err": density_err,
-                        "pass": bool(
-                            moment_err <= MOMENT_TOL
-                            and purity_err <= PURITY_TOL
-                            and density_err <= DENSITY_TOL
-                        ),
-                    }
-                )
+                errors.append((moment_err, purity_err, abs(density - outcome.probability_density)))
     lam, eta, x = _axes(lam_values, eta_values, x_values)
     shape = (len(lam_values), len(eta_values), len(x_values))
-    columns = {"lam": lam, "eta": eta, "x": x}
-    return Table(shape, {**columns, **_stack(points, ORACLE_COLUMNS[3:], shape)})
+    moment_err, purity_err, density_err = np.moveaxis(np.reshape(errors, shape + (3,)), -1, 0)
+    passed = (moment_err <= MOMENT_TOL) & (purity_err <= PURITY_TOL) & (density_err <= DENSITY_TOL)
+    columns = (lam, eta, x, moment_err, purity_err, density_err, passed)
+    return Table(shape, dict(zip(ORACLE_COLUMNS, columns)))
 
 
 def _format_cell(value) -> str:
@@ -321,6 +294,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, ...]:
             start, stop, count = text.split(":")
             return _linspace(float(start), float(stop), _integer(count, flag))
         return tuple(float(v) for v in text.split(","))
+    except ConfigurationError:  # already names what is wrong with the range
+        raise
     except ValueError:
         raise ConfigurationError(
             f"{flag} expects a value, a comma list, or start:stop:count; got {text!r}"

@@ -125,7 +125,10 @@ def quadrature_wavefunction(x, cutoff: int) -> np.ndarray:
         raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape + (cutoff + 1,))
-    out[..., 0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    with np.errstate(over="ignore"):  # far out, x * x overflows and psi_0 underflows to 0
+        out[..., 0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    # where psi_0 is 0 every psi_p is; a zero x there keeps 2x finite
+    x = np.where(out[..., 0] == 0.0, 0.0, x)
     if cutoff >= 1:
         out[..., 1] = 2.0 * x * out[..., 0]
     for p in range(1, cutoff):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class GaussianOperator:
     def n_modes(self) -> int:
         return self.mean.shape[-1] // 2
 
+    @cached_property
+    def min_symplectic_eigenvalue(self) -> float:
+        """Least symplectic eigenvalue of ``cov``, computed once per operator."""
+        return float(symplectic_eigenvalues(self.cov)[0])
+
 
 @dataclass(frozen=True)
 class SqueezedThermalDecomposition:
@@ -105,12 +111,8 @@ class SqueezedThermalDecomposition:
 
     def to_operator(self) -> GaussianOperator:
         """Rebuild the Gaussian state described by these parameters."""
-        width = (2.0 * self.n_th + 1.0) * VACUUM_VARIANCE
-        rot = _rotation_matrix(self.squeeze_phase)
-        core = np.diag([math.exp(-2.0 * self.squeeze_r), math.exp(2.0 * self.squeeze_r)])
-        cov = width * rot @ core @ rot.T
-        mean = np.array([self.displacement.real, self.displacement.imag])
-        return GaussianOperator(mean=mean, cov=cov)
+        squeezed = squeeze(thermal(self.n_th), 0, self.squeeze_r, self.squeeze_phase)
+        return displace(squeezed, 0, self.displacement)
 
 
 def _rotation_matrix(phi: float) -> np.ndarray:
@@ -137,15 +139,6 @@ def _apply_symplectic(op: GaussianOperator, s: np.ndarray) -> GaussianOperator:
     )
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form matching the (x1, y1, ...) ordering."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
-
-
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted ascending.
 
@@ -153,19 +146,20 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     eigenvalue is at least the vacuum variance 1/4.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ cov)
+    # the symplectic form of the (x1, y1, ...) ordering: [[0, 1], [-1, 0]] on each mode
+    upper = np.diag(np.tile([1.0, 0.0], len(cov) // 2)[:-1], 1)
+    eigs = np.linalg.eigvals(1j * (upper - upper.T) @ cov)
     # eigenvalues of i*Omega*cov come in +/- pairs; keep one of each
     return np.sort(np.abs(eigs))[::2]
 
 
-def is_physical(op: GaussianOperator, tol: float = PHYSICALITY_TOL) -> bool:
+def is_physical(op: GaussianOperator) -> bool:
     """True when the covariance satisfies the uncertainty bound."""
-    return bool(symplectic_eigenvalues(op.cov)[0] >= VACUUM_VARIANCE - tol)
+    return op.min_symplectic_eigenvalue >= VACUUM_VARIANCE - PHYSICALITY_TOL
 
 
 def require_physical(op: GaussianOperator, what: str = "state") -> None:
-    nu_min = symplectic_eigenvalues(op.cov)[0]
+    nu_min = op.min_symplectic_eigenvalue
     if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
         raise UnphysicalStateError(
             f"{what} violates the uncertainty bound: min symplectic "
@@ -238,12 +232,10 @@ def coherent(alpha: complex) -> GaussianOperator:
 
 def thermal(n_th: float) -> GaussianOperator:
     """Single-mode thermal state with mean photon number ``n_th``."""
-    if n_th < 0:
-        raise ValueError("n_th must be nonnegative")
-    return GaussianOperator(
-        mean=np.zeros(2),
-        cov=(2.0 * n_th + 1.0) * VACUUM_VARIANCE * np.eye(2),
-    )
+    require_finite_nonnegative("n_th", n_th)
+    width = (2.0 * n_th + 1.0) * VACUUM_VARIANCE
+    require_all(width < math.inf, f"thermal covariance overflows at n_th={n_th}")
+    return GaussianOperator(mean=np.zeros(2), cov=width * np.eye(2))
 
 
 def twb(r: float) -> GaussianOperator:
@@ -270,6 +262,7 @@ def twb(r: float) -> GaussianOperator:
 
 def photon_number(r: float) -> float:
     """Mean photon number per arm of a twin beam: N = 2 sinh^2 r."""
+    require_finite_nonnegative("r", r)
     try:
         return 2.0 * math.sinh(r) ** 2
     except OverflowError:
@@ -290,8 +283,12 @@ def displace(op: GaussianOperator, mode: int, alpha) -> GaussianOperator:
     shift = np.asarray(alpha, dtype=complex)[..., None]
     if op.n_modes > 1:
         shift = np.where(np.arange(op.n_modes) == mode, shift, 0.0)
-    mean = add_points(op.mean, shift.view(float))
-    return GaussianOperator(mean=mean, cov=op.cov, weight=op.weight)
+    with np.errstate(over="ignore"):  # an infinite mean is reported below
+        mean = add_points(op.mean, shift.view(float))
+    try:
+        return GaussianOperator(mean=mean, cov=op.cov, weight=op.weight)
+    except ValueError:
+        raise ValueError("alpha must be finite and keep the displaced mean finite") from None
 
 
 def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> GaussianOperator:
@@ -301,7 +298,10 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
     phase 0 squeezes x and antisqueezes y.
     """
     rot = _rotation_matrix(phase)
-    core = np.diag([math.exp(-r), math.exp(r)])
+    try:
+        core = np.diag([math.exp(-r), math.exp(r)])
+    except OverflowError:
+        raise ValueError(f"squeezing overflows at r={r}") from None
     s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
     return _apply_symplectic(op, s)
 
@@ -331,19 +331,6 @@ def overlap(a: GaussianOperator, b: GaussianOperator):
         raise ValueError("operators must act on the same number of modes")
     delta = add_points(a.mean, b.mean, np.subtract)
     return a.weight * b.weight * math.pi**a.n_modes * normal_density(delta, a.cov + b.cov)
-
-
-def marginal(op: GaussianOperator, keep_modes) -> GaussianOperator:
-    """Trace out every mode not listed in ``keep_modes``."""
-    keep = sorted(set(int(m) for m in keep_modes))
-    if not keep:
-        raise ValueError("keep_modes must not be empty")
-    if keep[0] < 0 or keep[-1] >= op.n_modes:
-        raise ValueError("keep_modes out of range")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in keep])
-    return GaussianOperator(
-        mean=op.mean[..., idx], cov=op.cov[np.ix_(idx, idx)], weight=op.weight
-    )
 
 
 def transpose_wigner(op: GaussianOperator) -> GaussianOperator:

@@ -124,21 +124,6 @@ class ConditionalOutcome:
         return self._density()
 
 
-@dataclass(frozen=True)
-class QuadratureDensity:
-    """Gaussian outcome distribution of a homodyne record."""
-
-    mean: float
-    variance: float
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        val = np.exp(-0.5 * (x - self.mean) ** 2 / self.variance) / math.sqrt(
-            2.0 * math.pi * self.variance
-        )
-        return float(val) if val.ndim == 0 else val
-
-
 def _direction(setting: HomodyneSetting, n_modes: int) -> np.ndarray:
     if setting.mode >= n_modes:
         raise ValueError(f"mode {setting.mode} out of range for {n_modes} modes")
@@ -148,15 +133,26 @@ def _direction(setting: HomodyneSetting, n_modes: int) -> np.ndarray:
     return c
 
 
-def homodyne_density(state: GaussianOperator, setting: HomodyneSetting) -> QuadratureDensity:
-    """Outcome distribution of the homodyne record, noise included."""
-    require_single(state, "homodyne")
+def _homodyne_record(state: GaussianOperator, setting: HomodyneSetting, what: str):
+    """The measured direction c, and the record's mean and variance, noise
+    included, for one physical state."""
+    require_single(state, what)
     require_physical(state)
     c = _direction(setting, state.n_modes)
-    return QuadratureDensity(
-        mean=float(c @ state.mean),
-        variance=float(c @ state.cov @ c) + setting.noise_variance,
-    )
+    return c, float(c @ state.mean), float(c @ state.cov @ c) + setting.noise_variance
+
+
+def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x: float) -> float:
+    """Probability density of the homodyne record value ``x``, noise included;
+    0.0 for a record so far out that its squared distance overflows."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    _, mean, var = _homodyne_record(state, setting, "homodyne")
+    try:
+        return state.weight * math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
+    except OverflowError:
+        return 0.0
 
 
 def condition_homodyne(
@@ -167,19 +163,11 @@ def condition_homodyne(
     Returns the outcome density together with the normalized Gaussian
     state of the unmeasured modes.  The measured mode is traced out.
     """
-    require_single(state, "homodyne conditioning")
-    require_physical(state)
+    c, record_mean, record_var = _homodyne_record(state, setting, "homodyne conditioning")
     n = state.n_modes
     if n < 2:
         raise ValueError("conditioning requires at least two modes")
-    c = _direction(setting, n)
-    record_var = float(c @ state.cov @ c) + setting.noise_variance
-    shift = float(outcome) - float(c @ state.mean)
-    density = (
-        state.weight
-        * math.exp(-0.5 * shift**2 / record_var)
-        / math.sqrt(2.0 * math.pi * record_var)
-    )
+    shift = float(outcome) - record_mean
     gain = state.cov @ c / record_var
     mean = state.mean + gain * shift
     cov = state.cov - np.outer(gain, state.cov @ c)
@@ -188,7 +176,7 @@ def condition_homodyne(
     cov = cov[np.ix_(keep, keep)]
     return ConditionalOutcome(
         state=GaussianOperator(mean=mean[keep], cov=0.5 * (cov + cov.T)),
-        _density=lambda: density,
+        _density=lambda: homodyne_density(state, setting, outcome),
     )
 
 
@@ -204,9 +192,9 @@ def sample_homodyne(
     length from the same deterministic stream.
     """
     size = None if n_samples is None else require_sample_count(n_samples)
-    dens = homodyne_density(state, setting)
+    _, mean, variance = _homodyne_record(state, setting, "homodyne sampling")
     rng = _generator(seed)
-    draws = rng.normal(dens.mean, math.sqrt(dens.variance), size=size)
+    draws = rng.normal(mean, math.sqrt(variance), size=size)
     return float(draws) if n_samples is None else draws
 
 

@@ -5,11 +5,11 @@ Two protocols share the twin beam as their entanglement resource:
 * remote preparation: one arm is homodyned; the other collapses to a
   displaced squeezed thermal state whose parameters are closed forms
   in the beam strength, the record value and the detector efficiency;
-* teleportation: one arm travels through a lossy channel, a joint x/y
-  measurement against the input state is taken on the other, and the
-  record is undone by a corrective displacement.  The surviving
-  imperfection is one number, kappa^2, added as kappa^2/2 of extra
-  variance per quadrature of the teleported state.
+* teleportation: the channel damps both twin-beam arms, a joint x/y
+  measurement against the input state is taken on one of them, and the
+  record is undone by a corrective displacement of the other.  The
+  surviving imperfection is one number, kappa^2, added as kappa^2/2 of
+  extra variance per quadrature of the teleported state.
 """
 
 from __future__ import annotations

@@ -80,16 +80,6 @@ class TestEvolve:
         out = evolve(twb(1.4), LossChannel(gamma_t, m))
         assert is_physical(out)
 
-    def test_partial_application(self):
-        s = twb(0.6)
-        out = evolve(s, LossChannel(LN2, 0.0), modes=[0])
-        # untouched arm keeps its marginal variance
-        np.testing.assert_allclose(out.cov[2:, 2:], s.cov[2:, 2:], atol=1e-15)
-        np.testing.assert_allclose(out.cov[:2, :2], 0.5 * s.cov[:2, :2] + 0.125 * np.eye(2))
-        np.testing.assert_allclose(out.cov[:2, 2:], math.sqrt(0.5) * s.cov[:2, 2:])
-        with pytest.raises(ValueError):
-            evolve(s, LossChannel(0.1), modes=[3])
-
     def test_weight_preserved(self):
         from twinbeam.gaussian import GaussianOperator
 

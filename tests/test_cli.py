@@ -61,12 +61,12 @@ class TestSweepSpec:
             SweepSpec()
 
     def test_derives_the_missing_column(self):
-        by_n = SweepSpec(n=(1.0,)).squeezing_column()
-        assert by_n[0][1] == 1.0
-        assert by_n[0][0] == pytest.approx(squeezing_from_photon_number(1.0), rel=1e-15)
-        by_r = SweepSpec(r=(0.5,)).squeezing_column()
-        assert by_r[0][0] == 0.5
-        assert by_r[0][1] == pytest.approx(2.0 * math.sinh(0.5) ** 2, rel=1e-15)
+        by_n = run_remote_prep_sweep(SweepSpec(n=(1.0,))).rows()
+        assert by_n[0]["N"] == 1.0
+        assert by_n[0]["r"] == pytest.approx(squeezing_from_photon_number(1.0), rel=1e-15)
+        by_r = run_remote_prep_sweep(SweepSpec(r=(0.5,))).rows()
+        assert by_r[0]["r"] == 0.5
+        assert by_r[0]["N"] == pytest.approx(2.0 * math.sinh(0.5) ** 2, rel=1e-15)
 
 
 class TestRemotePrepSweep:
@@ -247,6 +247,7 @@ class TestMain:
             ["oracle-check", "--cutoff", "30.9"],  # not an integer
             ["teleport", "--r", "0.5", "--format", "xml"],
             ["teleport", "--r", "0:inf:3"],  # a range's span must be finite
+            ["oracle-check", "--lam", "0.5", "--eta", "1", "--x", "1e200"],  # no number-basis density
         ],
     )
     def test_usage_errors_exit_two(self, argv, capsys):
@@ -254,6 +255,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "error" in err
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("0:inf:3", "a range needs a finite span"), ("0:1:0", "a range needs a count of at least 1")],
+    )
+    def test_range_errors_keep_their_message(self, text, message, capsys):
+        assert main(["teleport", "--r", text]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", ["-1,0,0.7", "-2:2:50", "-1"])
     def test_negative_grid_values(self, values, capsys):

@@ -71,6 +71,13 @@ class TestWavefunction:
         assert psi[1] == pytest.approx(2.0 * x * psi0, rel=1e-14)
         assert psi[2] == pytest.approx((2.0 * x * psi[1] - psi0) / math.sqrt(2.0), rel=1e-13)
 
+    def test_far_records_vanish_without_warnings(self):
+        # x * x overflows beyond ~1e154 and 2x beyond ~9e307; every psi_p is 0 there
+        psi = quadrature_wavefunction(np.array([1e200, -1e308, 1.7e308]), 10)
+        assert not psi.any()
+        with pytest.raises(DegenerateOutcomeError):
+            condition_fock(twb_fock(0.3, 20), 1e308, 0.8)
+
     def test_orthonormality(self):
         # trapezoid on a wide grid resolves the p, q <= 20 Gram matrix
         xs = np.linspace(-9.0, 9.0, 6001)
@@ -146,10 +153,9 @@ class TestConditionFock:
 
     def test_density_matches_marginal_distribution(self):
         state = twb_fock(LAM_N1, 40)
-        dens = homodyne_density(twb(R_N1), HomodyneSetting(mode=0))
         for x in (-1.0, 0.2, 1.5):
             density, _ = condition_fock(state, x, 1.0)
-            assert density == pytest.approx(dens(x), abs=1e-9)
+            assert density == pytest.approx(homodyne_density(twb(R_N1), HomodyneSetting(mode=0), x), abs=1e-9)
 
     def test_truncation_stability(self):
         # deepening the cutoff must not move the answer at tolerance

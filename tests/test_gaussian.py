@@ -1,19 +1,21 @@
 """Phase-space core: construction, algebra, overlaps, decomposition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from twinbeam import (
     GaussianOperator,
+    HomodyneSetting,
     SqueezedThermalDecomposition,
     UnphysicalStateError,
     coherent,
+    condition_homodyne,
     decompose_single_mode,
     displace,
     is_physical,
-    marginal,
     overlap,
     photon_number,
     rotate,
@@ -26,7 +28,8 @@ from twinbeam import (
     vacuum,
     wigner_eval,
 )
-from twinbeam.gaussian import add_points
+from twinbeam import gaussian
+from twinbeam.gaussian import add_points, require_physical
 
 # r for a twin beam with N = 1 photon per arm (lam = 1/sqrt(3))
 R_N1 = 0.6584789484624085
@@ -125,8 +128,8 @@ class TestConstructors:
         r = squeezing_from_photon_number(n)
         np.testing.assert_allclose(photon_number(r), n, rtol=1e-13, atol=1e-15)
         # N counts both arms, so one arm is thermal with occupation N/2
-        arm = marginal(twb(r), [0])
-        np.testing.assert_allclose(arm.cov, thermal(n / 2).cov, rtol=1e-13, atol=1e-15)
+        arm_cov = twb(r).cov[:2, :2]
+        np.testing.assert_allclose(arm_cov, thermal(n / 2).cov, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, 400.0])
     def test_twb_rejects_non_finite_or_overflowing_r(self, r):
@@ -141,6 +144,24 @@ class TestConstructors:
     def test_photon_number_rejects_non_finite(self, n):
         with pytest.raises(ValueError):
             squeezing_from_photon_number(n)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: photon_number(math.nan), "r"),
+            (lambda: photon_number(-1.0), "r"),
+            (lambda: squeeze(vacuum(1), 0, 800.0), "r"),
+            (lambda: thermal(1e308), "n_th"),
+            (lambda: displace(coherent(1e308), 0, 1e308), "alpha"),
+        ],
+        ids=["photon-number-nan", "photon-number-negative", "squeeze", "thermal", "displace"],
+    )
+    def test_scalar_constructors_name_a_bad_parameter(self, build, name):
+        # a NaN result, an OverflowError or a RuntimeWarning is a failure here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                build()
 
 
 class TestWigner:
@@ -230,15 +251,6 @@ class TestModeOps:
         np.testing.assert_allclose(q.cov[0, 0], s.cov[1, 1], rtol=1e-14)
         np.testing.assert_allclose(q.cov[1, 1], s.cov[0, 0], rtol=1e-14)
 
-    def test_marginal_validation(self):
-        s = twb(0.5)
-        with pytest.raises(ValueError):
-            marginal(s, [])
-        with pytest.raises(ValueError):
-            marginal(s, [2])
-        both = marginal(s, [0, 1])
-        np.testing.assert_array_equal(both.cov, s.cov)
-
     def test_transpose_wigner_flips_y(self):
         s = displace(squeeze(vacuum(1), 0, 0.5, 0.3), 0, 1.0 + 2.0j)
         t = transpose_wigner(s)
@@ -267,6 +279,18 @@ class TestSymplectic:
         assert not is_physical(bad)
         with pytest.raises(UnphysicalStateError):
             decompose_single_mode(bad)
+
+    def test_spectrum_is_computed_once_per_operator(self, monkeypatch):
+        calls = []
+        spectrum = gaussian.symplectic_eigenvalues
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", lambda cov: calls.append(cov) or spectrum(cov))
+        beam = twb(0.7)
+        assert is_physical(beam)
+        require_physical(beam)
+        for x in (-0.4, 0.0, 0.9):
+            assert condition_homodyne(beam, HomodyneSetting(mode=0), x).probability_density > 0.0
+        assert len(calls) == 1
+        assert beam.min_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
 
     def test_random_symplectic_sequences_stay_physical(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -386,7 +410,6 @@ class TestBatched:
             np.testing.assert_allclose(
                 squeeze(family, 1, 0.4, 0.2).mean[k], squeeze(one, 1, 0.4, 0.2).mean, atol=1e-15
             )
-            np.testing.assert_array_equal(marginal(family, [1]).mean[k], marginal(one, [1]).mean)
             flipped = transpose_wigner(family).mean[k]
             np.testing.assert_array_equal(flipped, transpose_wigner(one).mean)
 

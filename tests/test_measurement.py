@@ -103,10 +103,9 @@ class TestConditionHomodyne:
     def test_density_consistent_with_homodyne_density(self):
         state = twb(0.9)
         setting = HomodyneSetting(mode=0, efficiency=0.7)
-        dens = homodyne_density(state, setting)
         for x in X_GRID:
             out = condition_homodyne(state, setting, x)
-            assert out.probability_density == pytest.approx(dens(x), rel=1e-13)
+            assert out.probability_density == pytest.approx(homodyne_density(state, setting, x), rel=1e-13)
 
     def test_conditioning_on_second_mode_is_symmetric(self):
         state = twb(0.8)
@@ -156,6 +155,18 @@ class TestConditionHomodyne:
         bad = GaussianOperator(mean=np.zeros(4), cov=0.1 * np.eye(4))
         with pytest.raises(UnphysicalStateError):
             condition_homodyne(bad, HomodyneSetting(mode=0), 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_density_needs_a_finite_record(self, x):
+        with pytest.raises(ValueError):
+            homodyne_density(twb(0.5), HomodyneSetting(mode=0), x)
+
+    def test_huge_record_has_zero_density(self):
+        # as remote_prep reports; the squared distance would overflow
+        out = condition_homodyne(twb(0.5), HomodyneSetting(mode=0), 1e200)
+        assert out.probability_density == 0.0
+        assert np.all(np.isfinite(out.state.mean))
+        assert homodyne_density(twb(0.5), HomodyneSetting(mode=0), -1e200) == 0.0
 
 
 class TestSampling:
@@ -311,7 +322,7 @@ class TestBatchedRecords:
         with pytest.raises(ValueError):
             condition_homodyne(family, HomodyneSetting(mode=0), 0.3)
         with pytest.raises(ValueError):
-            homodyne_density(family, HomodyneSetting(mode=0))
+            homodyne_density(family, HomodyneSetting(mode=0), 0.3)
         with pytest.raises(ValueError):
             sample_homodyne(family, HomodyneSetting(mode=0), seed=1)
         with pytest.raises(ValueError):
