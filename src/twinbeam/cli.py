@@ -173,17 +173,9 @@ def run_teleport_sweep(spec: SweepSpec) -> Table:
     r, gamma_t, m, eta = _axes(*axes)
     config = TeleportConfig(r, gamma_t, m, eta)
     fidelity = fidelity_coherent(config)
-    columns = {
-        "r": r,
-        "gamma_t": gamma_t,
-        "M": m,
-        "eta": eta,
-        "kappa_sq": config.kappa_sq,
-        "fidelity": fidelity,
-        "eta_threshold": eta_threshold(r, gamma_t, m),
-        "beats_classical": fidelity > 0.5,
-    }
-    return Table(tuple(len(v) for v in axes), columns)
+    threshold = eta_threshold(r, gamma_t, m)
+    columns = (r, gamma_t, m, eta, config.kappa_sq, fidelity, threshold, fidelity > 0.5)
+    return Table(tuple(len(v) for v in axes), dict(zip(TELEPORT_COLUMNS, columns)))
 
 
 def run_oracle_check(
@@ -224,19 +216,11 @@ def run_oracle_check(
             setting = HomodyneSetting(mode=0, phase=0.0, efficiency=eta)
             for x in x_values:
                 outcome = condition_homodyne(beam, setting, x)
-                gm = outcome.state.mean
-                gc = outcome.state.cov
+                mean, cov = outcome.state.mean, outcome.state.cov
                 density, rho = condition_fock(fock_beam, x, eta, grid)
                 fm = moments_fock(rho)
-                moment_err = float(
-                    max(
-                        abs(fm.mean_x - gm[0]),
-                        abs(fm.mean_y - gm[1]),
-                        abs(fm.var_x - gc[0, 0]),
-                        abs(fm.var_y - gc[1, 1]),
-                        abs(fm.cov_xy - gc[0, 1]),
-                    )
-                )
+                gaussian = (mean[0], mean[1], cov[0, 0], cov[1, 1], cov[0, 1])  # fm's order
+                moment_err = float(max(abs(f - g) for f, g in zip(fm[:5], gaussian)))
                 n_th = remote_prep(r, eta, x).n_th
                 purity_err = abs(fm.purity - 1.0 / (2.0 * n_th + 1.0))
                 errors.append((moment_err, purity_err, abs(density - outcome.probability_density)))
@@ -249,33 +233,48 @@ def run_oracle_check(
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, str):
         return value
     return f"{float(value):.17g}"
 
 
-def _format_cells(values: np.ndarray) -> np.ndarray:
-    """:func:`_format_cell` of every element; a float array skips the
-    type dispatch."""
+def _format_cells(values: np.ndarray, as_json: bool = False) -> np.ndarray:
+    """Each element as CSV text or as its JSON value; bool and finite
+    float arrays skip the type dispatch."""
+    if values.dtype == bool:  # two shared strings; `...` keeps a 0-d result an array
+        return np.array(["false", "true"], dtype=object)[values.astype(np.intp), ...]
     flat = values.ravel().tolist()
-    text = map("%.17g".__mod__ if values.dtype == float else _format_cell, flat)
+    if values.dtype == float and np.isfinite(values).all():
+        text = map(float.__repr__ if as_json else "%.17g".__mod__, flat)
+    else:  # floats mixed with a literal, or NaN and infinities
+        text = map(json.dumps if as_json else _format_cell, flat)
     return np.array(list(text), dtype=object).reshape(values.shape)
 
 
-def rows_to_csv(table: Table, columns) -> str:
-    """CSV text of ``columns``: each distinct cell is formatted once, at
-    its column's own shape, and the text broadcast over the rows."""
-    cells = [
-        np.broadcast_to(_format_cells(table.columns[name]), table.shape).ravel().tolist()
+def _broadcast_cells(table: Table, columns, as_json: bool = False) -> list[list[str]]:
+    """Each column's cells formatted once, at the column's own shape, and
+    the text broadcast over the rows."""
+    return [
+        np.broadcast_to(_format_cells(table.columns[name], as_json), table.shape).ravel().tolist()
         for name in columns
     ]
+
+
+def rows_to_csv(table: Table, columns) -> str:
+    """CSV text of ``columns``."""
+    cells = _broadcast_cells(table, columns)
     return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
 
 
 def rows_to_json(table: Table) -> str:
-    return json.dumps(table.rows(), indent=2) + "\n"
+    """``json.dumps(table.rows(), indent=2)`` and a newline, with the cells
+    put into one row template."""
+    cells = _broadcast_cells(table, table.columns, as_json=True)
+    if not cells or not cells[0]:
+        return "[]\n"
+    keys = (json.dumps(name).replace("%", "%%") for name in table.columns)
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
 
 
 def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:

@@ -175,17 +175,16 @@ def condition_fock(
     return density, 0.5 * (rho + rho.conj().T)
 
 
-def _ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    return a
-
-
 def moments_fock(rho: np.ndarray) -> FockMoments:
     """Quadrature means, (co)variances and purity of a density matrix.
 
-    Accuracy is limited by the truncation of the matrix itself; inputs
-    must be Hermitian with unit trace to 1e-8.
+    From three bands of rho's Hermitian part: mean_x + i mean_y = <a> =
+    sum_p sqrt(p+1) rho[p+1, p]; with <a^2> = sum_p sqrt((p+1)(p+2))
+    rho[p+2, p], var_x and var_y are (<{a, a^dag}> +- 2 Re<a^2>)/4 less the
+    squared means and cov_xy is Im<a^2>/2 - mean_x mean_y; the purity is
+    sum |rho|^2.  {a, a^dag} is that of the truncated ladder operators:
+    diag(2p + 1), except p at the top level p = cutoff, where the truncated
+    a a^dag is 0.  Inputs must be Hermitian with unit trace to 1e-8.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -194,14 +193,14 @@ def moments_fock(rho: np.ndarray) -> FockMoments:
         raise UnphysicalStateError("rho must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise UnphysicalStateError("rho must have unit trace")
-    a = _ladder(rho.shape[0])
-    xq = 0.5 * (a + a.T)
-    yq = 0.5j * (a.T - a)
-    mean_x = float(np.real(np.trace(rho @ xq)))
-    mean_y = float(np.real(np.trace(rho @ yq)))
-    var_x = float(np.real(np.trace(rho @ xq @ xq))) - mean_x**2
-    var_y = float(np.real(np.trace(rho @ yq @ yq))) - mean_y**2
-    sym = 0.5 * (xq @ yq + yq @ xq)
-    cov_xy = float(np.real(np.trace(rho @ sym))) - mean_x * mean_y
-    purity = float(np.real(np.sum(rho * rho.conj().T)))
-    return FockMoments(mean_x, mean_y, var_x, var_y, cov_xy, purity)
+    rho = 0.5 * (rho + rho.conj().T)
+    levels = np.arange(rho.shape[0])
+    root = np.sqrt(levels[1:])  # sqrt(p + 1)
+    a = complex(root @ np.diagonal(rho, -1))
+    a_sq = complex((root[:-1] * root[1:]) @ np.diagonal(rho, -2))
+    anti = float((levels + np.append(levels[1:], 0)) @ np.diagonal(rho).real)
+    mean_x, mean_y = a.real, a.imag
+    var_x = 0.25 * (anti + 2.0 * a_sq.real) - mean_x**2
+    var_y = 0.25 * (anti - 2.0 * a_sq.real) - mean_y**2
+    cov_xy = 0.5 * a_sq.imag - mean_x * mean_y
+    return FockMoments(mean_x, mean_y, var_x, var_y, cov_xy, float(np.vdot(rho, rho).real))

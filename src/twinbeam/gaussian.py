@@ -297,13 +297,15 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
     ``phase`` is the orientation of the squeezed axis in the (x, y) plane;
     phase 0 squeezes x and antisqueezes y.
     """
+    require_all(math.isfinite(r), f"squeezing r must be finite; got r={r}")
     rot = _rotation_matrix(phase)
     try:
         core = np.diag([math.exp(-r), math.exp(r)])
-    except OverflowError:
+        s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
+        with np.errstate(over="raise"):
+            return _apply_symplectic(op, s)
+    except (OverflowError, FloatingPointError):
         raise ValueError(f"squeezing overflows at r={r}") from None
-    s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
-    return _apply_symplectic(op, s)
 
 
 def rotate(op: GaussianOperator, mode: int, phi: float) -> GaussianOperator:

@@ -153,6 +153,22 @@ class TestFormatting:
         assert parsed[0]["flag"] is False
         assert parsed[0]["word"] == "impossible"
 
+    def test_json_equals_the_dumped_rows(self):
+        # every kind of cell, columns of several shapes, and keys that need escaping
+        table = Table(
+            (2, 3),
+            {
+                "eta_threshold": np.array([[0.25], ["impossible"]], dtype=object),
+                "flag": np.array([[True, False, True]]),
+                "odd": np.array([math.inf, -math.inf, math.nan]),
+                '100% "q"': np.array(1.0 / 3.0),
+                "none": np.array(False),
+                "a": np.array([[0.1], [-0.0]]),
+            },
+        )
+        assert rows_to_json(table) == json.dumps(table.rows(), indent=2) + "\n"
+        assert rows_to_json(Table((0, 2), {"a": np.zeros((0, 1))})) == "[]\n"
+
 
 class TestMain:
     def test_remote_prep_stdout(self, capsys):

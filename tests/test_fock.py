@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     DegenerateOutcomeError,
@@ -23,6 +25,22 @@ from twinbeam import (
 
 LAM_N1 = 1.0 / math.sqrt(3.0)  # twin beam with N = 1
 R_N1 = math.atanh(LAM_N1)
+
+
+def _dense_moments(rho: np.ndarray) -> tuple:
+    """Reference moments: traces of rho against products of the truncated
+    ladder operator's dense matrices."""
+    dim = rho.shape[0]
+    a = np.zeros((dim, dim))
+    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
+    xq = 0.5 * (a + a.T)
+    yq = 0.5j * (a.T - a)
+    mean_x = np.trace(rho @ xq).real
+    mean_y = np.trace(rho @ yq).real
+    var_x = np.trace(rho @ xq @ xq).real - mean_x**2
+    var_y = np.trace(rho @ yq @ yq).real - mean_y**2
+    cov_xy = np.trace(rho @ (0.5 * (xq @ yq + yq @ xq))).real - mean_x * mean_y
+    return mean_x, mean_y, var_x, var_y, cov_xy, np.trace(rho @ rho).real
 
 
 class TestTwbFock:
@@ -218,3 +236,42 @@ class TestMomentsFock:
             moments_fock(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not hermitian
         with pytest.raises(UnphysicalStateError):
             moments_fock(0.5 * np.eye(4))  # trace 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.floats(0.0, 1.0),
+        skew=st.sampled_from([0.0, 1e-10]),
+    )
+    def test_matches_dense_truncated_operators(self, dim, seed, top, skew):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mixed = g @ g.conj().T
+        # a pure state on the top three levels, where the truncated
+        # {a, a^dag} is p rather than 2p + 1 at p = cutoff
+        psi = np.zeros(dim, dtype=complex)
+        psi[-3:] = rng.normal(size=min(dim, 3)) + 1j * rng.normal(size=min(dim, 3))
+        rho = (1.0 - top) * mixed / np.trace(mixed).real + top * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        # a non-Hermitian part below the 1e-8 check, with no real trace
+        e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = rho + skew * 0.5 * (e - e.conj().T)
+        np.testing.assert_allclose(moments_fock(rho), _dense_moments(rho), rtol=0.0, atol=1e-12)
+
+    def test_cutoff_zero(self):
+        # one level: x and y are the zero matrix
+        assert moments_fock(np.ones((1, 1))) == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+        assert moments_fock(np.ones((1, 1))) == _dense_moments(np.ones((1, 1)))
+
+    def test_cutoff_one(self):
+        # two levels: <a> = rho[1, 0], a^2 = 0, {a, a^dag} = identity
+        rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        expected = (0.2, 0.1, 0.25 - 0.04, 0.25 - 0.01, -0.02, 0.36 + 0.16 + 2 * 0.05)
+        np.testing.assert_allclose(moments_fock(rho), expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(moments_fock(rho), _dense_moments(rho), rtol=0.0, atol=1e-15)
+
+    def test_complex_pure_state_has_unit_purity(self):
+        psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+        m = moments_fock(np.outer(psi, psi.conj()))
+        assert m.purity == pytest.approx(1.0, abs=1e-15)
+        assert (m.mean_x, m.mean_y) == pytest.approx((0.0, 0.5), abs=1e-15)

@@ -151,10 +151,22 @@ class TestConstructors:
             (lambda: photon_number(math.nan), "r"),
             (lambda: photon_number(-1.0), "r"),
             (lambda: squeeze(vacuum(1), 0, 800.0), "r"),
+            (lambda: squeeze(vacuum(1), 0, 400.0), "r"),  # exp(r) is finite, the covariance is not
+            (lambda: squeeze(vacuum(1), 0, math.inf), "r"),
+            (lambda: squeeze(vacuum(1), 0, math.nan), "r"),
             (lambda: thermal(1e308), "n_th"),
             (lambda: displace(coherent(1e308), 0, 1e308), "alpha"),
         ],
-        ids=["photon-number-nan", "photon-number-negative", "squeeze", "thermal", "displace"],
+        ids=[
+            "photon-number-nan",
+            "photon-number-negative",
+            "squeeze",
+            "squeeze-400",
+            "squeeze-inf",
+            "squeeze-nan",
+            "thermal",
+            "displace",
+        ],
     )
     def test_scalar_constructors_name_a_bad_parameter(self, build, name):
         # a NaN result, an OverflowError or a RuntimeWarning is a failure here
