@@ -83,6 +83,9 @@ DENSITY_TOL = 1e-6
 # Largest truncation leakage lam^(2 (cutoff + 1)) that oracle-check accepts.
 LEAKAGE_BOUND = 1e-6
 
+# Records per number-basis conditioning call: bounds the rho stack for any x grid.
+ORACLE_BLOCK = 32
+
 class ConfigurationError(ValueError):
     """Unusable parameter combination (usage error, process exit 2)."""
 
@@ -207,26 +210,31 @@ def run_oracle_check(
                 f"bound is {LEAKAGE_BOUND:.3g}"
             )
     grid = gauss_hermite_grid(nodes)
-    errors = []  # (moment, purity, density) error of each grid point, in C order
+    errors = []  # (moment, purity, density) errors over x, per (lam, eta) in C order
     for lam in lam_values:
         r = math.atanh(lam)
         beam = twb(r)
         fock_beam = twb_fock(lam, cutoff)
         for eta in eta_values:
             setting = HomodyneSetting(mode=0, phase=0.0, efficiency=eta)
-            for x in x_values:
-                outcome = condition_homodyne(beam, setting, x)
-                mean, cov = outcome.state.mean, outcome.state.cov
-                density, rho = condition_fock(fock_beam, x, eta, grid)
-                fm = moments_fock(rho)
-                gaussian = (mean[0], mean[1], cov[0, 0], cov[1, 1], cov[0, 1])  # fm's order
-                moment_err = float(max(abs(f - g) for f, g in zip(fm[:5], gaussian)))
-                n_th = remote_prep(r, eta, x).n_th
-                purity_err = abs(fm.purity - 1.0 / (2.0 * n_th + 1.0))
-                errors.append((moment_err, purity_err, abs(density - outcome.probability_density)))
+            outcome = condition_homodyne(beam, setting, x_values)
+            density, fm = [], []  # fm's rows: mean_x, mean_y, var_x, var_y, cov_xy, purity
+            for start in range(0, len(x_values), ORACLE_BLOCK):
+                records = x_values[start : start + ORACLE_BLOCK]
+                block, rho = condition_fock(fock_beam, records, eta, grid)
+                density.extend(block)
+                fm.extend(moments_fock(rho_x) for rho_x in rho)
+                del rho  # release this stack before the next one is built
+            fm = np.array(fm)
+            var = outcome.state.cov[[0, 1, 0], [0, 1, 1]]
+            moment_err = np.abs(np.hstack((fm[:, :2] - outcome.state.mean, fm[:, 2:5] - var)))
+            n_th = np.array([remote_prep(r, eta, x).n_th for x in x_values])
+            purity_err = np.abs(fm[:, 5] - 1.0 / (2.0 * n_th + 1.0))
+            density_err = np.abs(density - outcome.probability_density)
+            errors.append((moment_err.max(axis=1), purity_err, density_err))
     lam, eta, x = _axes(lam_values, eta_values, x_values)
     shape = (len(lam_values), len(eta_values), len(x_values))
-    moment_err, purity_err, density_err = np.moveaxis(np.reshape(errors, shape + (3,)), -1, 0)
+    moment_err, purity_err, density_err = np.reshape(np.swapaxes(errors, 0, 1), (3,) + shape)
     passed = (moment_err <= MOMENT_TOL) & (purity_err <= PURITY_TOL) & (density_err <= DENSITY_TOL)
     columns = (lam, eta, x, moment_err, purity_err, density_err, passed)
     return Table(shape, dict(zip(ORACLE_COLUMNS, columns)))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError
+from .gaussian import UnphysicalStateError, require_count
 
 # Hilbert-space dimension cap: cutoff + 1 <= 128.
 MAX_CUTOFF = 127
@@ -34,7 +34,8 @@ class FockVector:
     """Pure state as amplitudes over number states.
 
     ``amps`` is 1-D (single mode, index p) or 2-D (two modes, indices
-    p, q) with each axis running 0..cutoff.
+    p, q) with each axis running 0..cutoff.  They are stored as floats
+    unless given complex, so real states project with real arithmetic.
     """
 
     cutoff: int
@@ -43,9 +44,11 @@ class FockVector:
     def __post_init__(self):
         if not 0 <= self.cutoff <= MAX_CUTOFF:
             raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
-        amps = np.array(self.amps, dtype=complex)
+        amps = np.array(self.amps, dtype=complex if np.iscomplexobj(self.amps) else float)
         if amps.ndim not in (1, 2) or any(s != self.cutoff + 1 for s in amps.shape):
             raise ValueError("amps must be 1-D or 2-D with axes of length cutoff + 1")
+        if not np.isfinite(amps).all():
+            raise ValueError("amps must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -94,9 +97,7 @@ class QuadratureGrid:
 
 def gauss_hermite_grid(n_nodes: int = 40) -> QuadratureGrid:
     """Grid integrating f against a unit Gaussian: sum w_k f(mu + sqrt(2) s u_k)."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be at least 1")
-    nodes, weights = np.polynomial.hermite.hermgauss(int(n_nodes))
+    nodes, weights = np.polynomial.hermite.hermgauss(require_count(n_nodes, "n_nodes", minimum=1))
     return QuadratureGrid(points=nodes, weights=weights / math.sqrt(math.pi))
 
 
@@ -118,61 +119,65 @@ def twb_fock(lam: float, cutoff: int) -> FockVector:
 def quadrature_wavefunction(x, cutoff: int) -> np.ndarray:
     """Oscillator wavefunctions psi_p(x) for p = 0..cutoff.
 
-    Stable three-term recurrence; x may be a scalar or an array, and the
-    p axis is appended last.
+    One stable three-term recurrence for x, a finite scalar or an array of
+    finite records; the p axis is appended last.
     """
     if not 0 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape + (cutoff + 1,))
+    if not np.isfinite(x).all():
+        raise ValueError(f"record x={x[~np.isfinite(x)].flat[0]} must be finite")
+    out = np.empty((cutoff + 1,) + x.shape)  # p first: each step writes one block
     with np.errstate(over="ignore"):  # far out, x * x overflows and psi_0 underflows to 0
-        out[..., 0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+        out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
     # where psi_0 is 0 every psi_p is; a zero x there keeps 2x finite
-    x = np.where(out[..., 0] == 0.0, 0.0, x)
+    two_x = 2.0 * np.where(out[0] == 0.0, 0.0, x)
     if cutoff >= 1:
-        out[..., 1] = 2.0 * x * out[..., 0]
+        out[1] = two_x * out[0]
     for p in range(1, cutoff):
-        out[..., p + 1] = (
-            2.0 * x * out[..., p] - math.sqrt(p) * out[..., p - 1]
-        ) / math.sqrt(p + 1.0)
-    return out
+        out[p + 1] = (two_x * out[p] - math.sqrt(p) * out[p - 1]) / math.sqrt(p + 1.0)
+    return np.moveaxis(out, 0, -1)
 
 
 def condition_fock(
-    state: FockVector, x: float, eta: float = 1.0, grid: QuadratureGrid | None = None
+    state: FockVector, x, eta: float = 1.0, grid: QuadratureGrid | None = None
 ):
-    """Project one arm of a two-mode state on a quadrature record.
+    """Project one arm of a two-mode state on quadrature records.
 
     Measures the first index at record value ``x`` with efficiency
     ``eta``; an imperfect record is the ideal one smeared by Gaussian
-    noise of variance (1 - eta)/(4 eta), integrated on the grid.
+    noise of variance (1 - eta)/(4 eta), integrated on the grid.  An
+    array of records shares one wavefunction recurrence.
 
     Returns:
         (density, rho): the record's probability density and the
-        normalized reduced density matrix of the unmeasured mode.
+        normalized reduced density matrix of the unmeasured mode; for an
+        array ``x``, arrays of shape x.shape and x.shape + (d, d).
     """
     if state.n_modes != 2:
         raise ValueError("conditioning requires a two-mode state")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    if eta == 1.0:
-        v = quadrature_wavefunction(float(x), state.cutoff) @ state.amps
-        density = float(np.real(np.vdot(v, v)))
-        if density < 1e-300:
-            raise DegenerateOutcomeError(f"record x={x} has vanishing density")
-        rho = np.outer(v, v.conj()) / density
-        return density, rho
-    if grid is None:
+    if eta == 1.0:  # an ideal record needs no smearing: one node
+        grid = QuadratureGrid(points=[0.0], weights=[1.0])
+    elif grid is None:
         grid = gauss_hermite_grid()
+    x = np.asarray(x, dtype=float)
     sigma = math.sqrt((1.0 - eta) / (4.0 * eta))
-    nodes = float(x) + math.sqrt(2.0) * sigma * grid.points
+    nodes = x[..., None] + math.sqrt(2.0) * sigma * grid.points
     proj = quadrature_wavefunction(nodes, state.cutoff) @ state.amps
-    rho = (proj.T * grid.weights) @ proj.conj()
-    density = float(np.real(np.trace(rho)))
-    if density < 1e-300:
-        raise DegenerateOutcomeError(f"record x={x} has vanishing density")
-    rho = rho / density
-    return density, 0.5 * (rho + rho.conj().T)
+    density = np.empty(x.shape)
+    rho = np.empty(x.shape + state.amps.shape, dtype=proj.dtype)
+    for k in np.ndindex(x.shape):  # per record, in place: only the rho stack is large
+        r = rho[k]
+        np.matmul(proj[k].T * grid.weights, proj[k].conj(), out=r)
+        density[k] = np.trace(r).real
+        if density[k] < 1e-300:
+            raise DegenerateOutcomeError(f"record x={x[k]} has vanishing density")
+        r /= density[k]
+        r += r.conj().T
+        r *= 0.5
+    return (float(density), rho) if x.ndim == 0 else (density, rho)
 
 
 def moments_fock(rho: np.ndarray) -> FockMoments:
@@ -184,11 +189,14 @@ def moments_fock(rho: np.ndarray) -> FockMoments:
     squared means and cov_xy is Im<a^2>/2 - mean_x mean_y; the purity is
     sum |rho|^2.  {a, a^dag} is that of the truncated ladder operators:
     diag(2p + 1), except p at the top level p = cutoff, where the truncated
-    a a^dag is 0.  Inputs must be Hermitian with unit trace to 1e-8.
+    a a^dag is 0.  Inputs must be finite and Hermitian with unit trace to
+    1e-8; a real rho stays real.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise UnphysicalStateError("rho must be a square matrix")
+    if not np.isfinite(rho).all():
+        raise UnphysicalStateError("rho must be finite")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
         raise UnphysicalStateError("rho must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-8:

@@ -43,9 +43,10 @@ class UnphysicalStateError(ValueError):
     """Raised when an operation requires a bona fide quantum state."""
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
+def as_finite_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` unless all are finite."""
     arr = np.array(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -67,8 +68,8 @@ class GaussianOperator:
     weight: float = 1.0
 
     def __post_init__(self):
-        mean = _as_float_array(self.mean, "mean")
-        cov = _as_float_array(self.cov, "cov")
+        mean = as_finite_array(self.mean, "mean")
+        cov = as_finite_array(self.cov, "cov")
         if mean.ndim == 0 or mean.shape[-1] == 0 or mean.shape[-1] % 2 != 0:
             raise ValueError("mean must have a last axis of even length")
         if cov.shape != mean.shape[-1:] * 2:
@@ -115,7 +116,8 @@ class SqueezedThermalDecomposition:
         return displace(squeezed, 0, self.displacement)
 
 
-def _rotation_matrix(phi: float) -> np.ndarray:
+def _rotation_matrix(phi: float, name: str) -> np.ndarray:
+    require_all(math.isfinite(phi), f"{name} must be finite; got {name}={phi}")
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
 
@@ -180,6 +182,16 @@ def require_all(condition, message: str) -> None:
         raise ValueError(message)
 
 
+def require_count(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int; ValueError unless it is an integer (not a bool)
+    of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return int(value)
+
+
 def require_finite_nonnegative(name: str, value) -> None:
     """Reject a number, or an array with an element, that is negative or not finite."""
     require_all((0.0 <= value) & (value < math.inf), f"{name} must be finite and nonnegative")
@@ -217,8 +229,7 @@ def normal_density(delta, cov: np.ndarray):
 
 def vacuum(n_modes: int = 1) -> GaussianOperator:
     """Vacuum state on ``n_modes`` modes."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
+    n_modes = require_count(n_modes, "n_modes", minimum=1)
     return GaussianOperator(
         mean=np.zeros(2 * n_modes),
         cov=VACUUM_VARIANCE * np.eye(2 * n_modes),
@@ -298,7 +309,7 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
     phase 0 squeezes x and antisqueezes y.
     """
     require_all(math.isfinite(r), f"squeezing r must be finite; got r={r}")
-    rot = _rotation_matrix(phase)
+    rot = _rotation_matrix(phase, "phase")
     try:
         core = np.diag([math.exp(-r), math.exp(r)])
         s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
@@ -310,13 +321,13 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
 
 def rotate(op: GaussianOperator, mode: int, phi: float) -> GaussianOperator:
     """Rotate one mode's quadratures by angle ``phi``."""
-    s = _embed_single_mode(_rotation_matrix(phi), mode, op.n_modes)
+    s = _embed_single_mode(_rotation_matrix(phi, "phi"), mode, op.n_modes)
     return _apply_symplectic(op, s)
 
 
 def wigner_eval(op: GaussianOperator, point):
     """Wigner function at one point (a float) or at points of shape (..., 2n)."""
-    point = _as_float_array(point, "point")
+    point = as_finite_array(point, "point")
     if point.shape[-1:] != op.mean.shape[-1:]:
         raise ValueError("point must match the operator's phase-space dimension")
     return op.weight * normal_density(add_points(point, op.mean, np.subtract), op.cov)

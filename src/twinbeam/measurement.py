@@ -27,7 +27,9 @@ import numpy as np
 from .gaussian import (
     GaussianOperator,
     add_points,
+    as_finite_array,
     normal_density,
+    require_count,
     require_physical,
     require_single,
     transpose_wigner,
@@ -37,20 +39,6 @@ from .gaussian import (
 def _generator(seed: int) -> np.random.Generator:
     # Philox is counter-based: reproducible and cheap to fork by seed.
     return np.random.Generator(np.random.Philox(int(seed)))
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def require_sample_count(n_samples, minimum: int = 0) -> int:
-    """``n_samples`` as an int; ValueError unless it is an integer (not a
-    bool) of at least ``minimum``."""
-    if not _is_integer(n_samples):
-        raise ValueError(f"n_samples must be an integer, not {n_samples!r}")
-    if n_samples < minimum:
-        raise ValueError(f"n_samples must be at least {minimum}")
-    return int(n_samples)
 
 
 @dataclass(frozen=True)
@@ -68,10 +56,7 @@ class HomodyneSetting:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if not _is_integer(self.mode):
-            raise ValueError(f"mode must be an integer, not {self.mode!r}")
-        if self.mode < 0:
-            raise ValueError("mode must be nonnegative")
+        require_count(self.mode, "mode")
         phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError("phase must be finite")
@@ -142,40 +127,41 @@ def _homodyne_record(state: GaussianOperator, setting: HomodyneSetting, what: st
     return c, float(c @ state.mean), float(c @ state.cov @ c) + setting.noise_variance
 
 
-def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x: float) -> float:
-    """Probability density of the homodyne record value ``x``, noise included;
-    0.0 for a record so far out that its squared distance overflows."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
+    """Probability density of the homodyne record value ``x``, noise included,
+    or an array of densities for an array of records; 0.0 for a record so far
+    out that its squared distance overflows."""
+    x = as_finite_array(x, "x")  # 0-d for one record
     _, mean, var = _homodyne_record(state, setting, "homodyne")
-    try:
-        return state.weight * math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
-    except OverflowError:
-        return 0.0
+    with np.errstate(over="ignore"):  # an overflowing square gives exp(-inf) = 0
+        density = state.weight * np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
+    return float(density) if density.ndim == 0 else density
 
 
 def condition_homodyne(
-    state: GaussianOperator, setting: HomodyneSetting, outcome: float
+    state: GaussianOperator, setting: HomodyneSetting, outcome
 ) -> ConditionalOutcome:
-    """Condition a multimode state on one homodyne record value.
+    """Condition a multimode state on a homodyne record value.
 
     Returns the outcome density together with the normalized Gaussian
-    state of the unmeasured modes.  The measured mode is traced out.
+    state of the unmeasured modes.  The measured mode is traced out.  An
+    array of records gives one density per record and the family of
+    conditional states, all sharing one covariance.
     """
+    outcome = as_finite_array(outcome, "x")
     c, record_mean, record_var = _homodyne_record(state, setting, "homodyne conditioning")
     n = state.n_modes
     if n < 2:
         raise ValueError("conditioning requires at least two modes")
-    shift = float(outcome) - record_mean
+    shift = outcome - record_mean
     gain = state.cov @ c / record_var
-    mean = state.mean + gain * shift
+    mean = state.mean + np.multiply.outer(shift, gain)  # records along the leading axes
     cov = state.cov - np.outer(gain, state.cov @ c)
     keep = np.ones(2 * n, dtype=bool)
     keep[2 * setting.mode : 2 * setting.mode + 2] = False
     cov = cov[np.ix_(keep, keep)]
     return ConditionalOutcome(
-        state=GaussianOperator(mean=mean[keep], cov=0.5 * (cov + cov.T)),
+        state=GaussianOperator(mean=mean[..., keep], cov=0.5 * (cov + cov.T)),
         _density=lambda: homodyne_density(state, setting, outcome),
     )
 
@@ -191,7 +177,7 @@ def sample_homodyne(
     Returns a scalar when ``n_samples`` is None, else an array of that
     length from the same deterministic stream.
     """
-    size = None if n_samples is None else require_sample_count(n_samples)
+    size = None if n_samples is None else require_count(n_samples, "n_samples")
     _, mean, variance = _homodyne_record(state, setting, "homodyne sampling")
     rng = _generator(seed)
     draws = rng.normal(mean, math.sqrt(variance), size=size)
@@ -244,7 +230,7 @@ def sample_double_homodyne(
     """Draw joint records alpha = x + iy; seed-deterministic like
     :func:`sample_homodyne`."""
     require_single(state, "double homodyne sampling")
-    size = 1 if n_samples is None else require_sample_count(n_samples)
+    size = 1 if n_samples is None else require_count(n_samples, "n_samples")
     ref_t, s_obs, _, _ = _double_homodyne_blocks(state, setting)
     rng = _generator(seed)
     draws = rng.standard_normal((size, 2)) @ np.linalg.cholesky(s_obs).T

@@ -27,6 +27,7 @@ from .gaussian import (
     overlap,
     photon_number,
     require_all,
+    require_count,
     require_finite_nonnegative,
     require_physical,
     twb,
@@ -34,7 +35,6 @@ from .gaussian import (
 from .measurement import (
     DoubleHomodyneSetting,
     double_homodyne_condition,
-    require_sample_count,
     sample_double_homodyne,
 )
 
@@ -196,7 +196,7 @@ def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, see
     The conditional covariance does not depend on the record, so all
     conditioned states form one batched operator.
     """
-    n_samples = require_sample_count(n_samples, minimum=1)
+    n_samples = require_count(n_samples, "n_samples", minimum=1)
     config.require_single("teleport_monte_carlo")
     resource = evolve(twb(config.r), config.channel())
     reference = coherent(z)

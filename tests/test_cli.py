@@ -26,6 +26,7 @@ from twinbeam import (
 )
 from twinbeam.cli import (
     ConfigurationError,
+    ORACLE_BLOCK,
     ORACLE_COLUMNS,
     REMOTE_PREP_COLUMNS,
     SweepSpec,
@@ -133,6 +134,16 @@ class TestOracleCheckRun:
     def test_coarse_nodes_fail_tolerances(self):
         rows = run_oracle_check((0.3,), (0.6,), (0.7,), nodes=2).rows()
         assert not rows[0]["pass"]
+
+    def test_records_past_one_block_equal_single_records(self):
+        xs = np.linspace(-2.0, 2.0, 2 * ORACLE_BLOCK + 3).tolist()
+        table = run_oracle_check((0.3, 0.5), (0.7, 1.0), xs, cutoff=30, nodes=12)
+        for i, x in enumerate(xs):
+            one = run_oracle_check((0.3, 0.5), (0.7, 1.0), (x,), cutoff=30, nodes=12)
+            for name in ORACLE_COLUMNS:
+                got = np.broadcast_to(table.columns[name], table.shape)[..., i]
+                want = np.broadcast_to(one.columns[name], one.shape)[..., 0]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 class TestFormatting:
@@ -279,6 +290,11 @@ class TestMain:
     def test_range_errors_keep_their_message(self, text, message, capsys):
         assert main(["teleport", "--r", text]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "0.5,-inf"])
+    def test_oracle_names_a_non_finite_record(self, x, capsys):
+        assert main(["oracle-check", "--lam", "0.5", "--eta", "0.8", f"--x={x}"]) == 2
+        assert "error: x must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", ["-1,0,0.7", "-2:2:50", "-1"])
     def test_negative_grid_values(self, values, capsys):

@@ -74,6 +74,16 @@ class TestTwbFock:
         with pytest.raises(ValueError):
             FockVector(cutoff=3, amps=np.zeros((4, 5)))
 
+    def test_real_amplitudes_stay_real(self):
+        assert twb_fock(0.5, 10).amps.dtype == np.float64
+        assert FockVector(cutoff=1, amps=[1, 0]).amps.dtype == np.float64
+        assert FockVector(cutoff=1, amps=[1j, 0]).amps.dtype == np.complex128
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_fock_vector_needs_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="amps must be finite"):
+            FockVector(cutoff=1, amps=[bad, 0.0])
+
 
 class TestWavefunction:
     def test_ground_state(self):
@@ -111,6 +121,11 @@ class TestWavefunction:
         assert norm == pytest.approx(1.0, abs=1e-12)
         assert var == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.3, math.nan]])
+    def test_non_finite_record_is_named(self, x):
+        with pytest.raises(ValueError, match=r"record x=(nan|inf|-inf) must be finite"):
+            quadrature_wavefunction(x, 5)
+
     def test_vectorized_matches_scalar(self):
         xs = np.array([-1.4, 0.0, 2.2])
         table = quadrature_wavefunction(xs, 12)
@@ -138,6 +153,11 @@ class TestQuadratureGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_hermite_grid(0)
+
+    @pytest.mark.parametrize("n_nodes", [2.5, 3.0, True, "4"])
+    def test_node_count_must_be_an_integer(self, n_nodes):
+        with pytest.raises(ValueError, match="n_nodes must be an integer"):
+            gauss_hermite_grid(n_nodes)
 
 
 class TestConditionFock:
@@ -202,6 +222,63 @@ class TestConditionFock:
         with pytest.raises(ValueError):
             condition_fock(twb_fock(0.3, 10), 0.0, 0.0)
 
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_is_named(self, x, eta):
+        with pytest.raises(ValueError, match=f"record x={x} must be finite"):
+            condition_fock(twb_fock(0.3, 10), x, eta)
+
+    def test_record_array_shapes(self):
+        xs = np.array([[-0.5, 0.0, 0.2], [1.0, 1.5, -2.0]])
+        density, rho = condition_fock(twb_fock(0.5, 12), xs, 0.8, gauss_hermite_grid(6))
+        assert density.shape == xs.shape and rho.shape == xs.shape + (13, 13)
+        assert rho.dtype == np.float64  # real amplitudes give a real rho
+        np.testing.assert_array_equal(rho, np.swapaxes(rho, -1, -2))
+        density, rho = condition_fock(twb_fock(0.5, 12), 0.2, 0.8, gauss_hermite_grid(6))
+        assert isinstance(density, float) and rho.shape == (13, 13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 0.7),
+        eta=st.sampled_from([1.0, 0.9, 0.6, 0.3]),
+        xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=6),
+    )
+    def test_record_array_equals_stacked_records(self, lam, eta, xs):
+        state, grid = twb_fock(lam, 40), gauss_hermite_grid(16)
+        density, rho = condition_fock(state, np.array(xs), eta, grid)
+        singles = [condition_fock(state, x, eta, grid) for x in xs]
+        np.testing.assert_allclose(density, [d for d, _ in singles], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(rho, np.stack([r for _, r in singles]), rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 0.7),
+        eta=st.sampled_from([1.0, 0.8, 0.4]),
+        xs=st.lists(st.floats(-2.5, 2.5), min_size=1, max_size=4),
+    )
+    def test_real_and_complex_amplitudes_agree(self, lam, eta, xs):
+        real = twb_fock(lam, 40)
+        cplx = FockVector(cutoff=40, amps=real.amps.astype(complex))
+        d_real, rho_real = condition_fock(real, xs, eta)
+        d_cplx, rho_cplx = condition_fock(cplx, xs, eta)
+        assert rho_real.dtype == np.float64 and rho_cplx.dtype == np.complex128
+        np.testing.assert_allclose(d_real, d_cplx, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rho_real, rho_cplx, rtol=0.0, atol=1e-13)
+        for m_real, m_cplx in zip(map(moments_fock, rho_real), map(moments_fock, rho_cplx)):
+            np.testing.assert_allclose(m_real, m_cplx, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+        index=st.integers(0, 4),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        eta=st.sampled_from([1.0, 0.7]),
+    )
+    def test_a_non_finite_record_anywhere_raises(self, xs, index, bad, eta):
+        xs[index % len(xs)] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            condition_fock(twb_fock(0.4, 10), xs, eta, gauss_hermite_grid(4))
+
 
 class TestMomentsFock:
     def test_vacuum(self):
@@ -236,6 +313,18 @@ class TestMomentsFock:
             moments_fock(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not hermitian
         with pytest.raises(UnphysicalStateError):
             moments_fock(0.5 * np.eye(4))  # trace 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_rho_raises(self, bad):
+        rho = np.diag([1.0, 0.0, 0.0]).astype(type(bad))
+        rho[1, 2] = rho[2, 1] = bad
+        with pytest.raises(UnphysicalStateError, match="rho must be finite"):
+            moments_fock(rho)
+
+    def test_real_rho_matches_its_complex_copy(self):
+        _, rho = condition_fock(twb_fock(0.6, 30), 0.4, 0.7)
+        assert rho.dtype == np.float64
+        np.testing.assert_allclose(moments_fock(rho), moments_fock(rho.astype(complex)), rtol=0.0, atol=1e-15)
 
     @settings(max_examples=80, deadline=None)
     @given(

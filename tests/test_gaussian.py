@@ -156,6 +156,12 @@ class TestConstructors:
             (lambda: squeeze(vacuum(1), 0, math.nan), "r"),
             (lambda: thermal(1e308), "n_th"),
             (lambda: displace(coherent(1e308), 0, 1e308), "alpha"),
+            (lambda: squeeze(vacuum(1), 0, 0.5, math.nan), "phase"),
+            (lambda: squeeze(vacuum(1), 0, 0.5, -math.inf), "phase"),
+            (lambda: rotate(vacuum(1), 0, math.nan), "phi"),
+            (lambda: rotate(vacuum(2), 1, math.inf), "phi"),
+            (lambda: vacuum(1.5), "n_modes"),
+            (lambda: vacuum(True), "n_modes"),
         ],
         ids=[
             "photon-number-nan",
@@ -166,6 +172,12 @@ class TestConstructors:
             "squeeze-nan",
             "thermal",
             "displace",
+            "squeeze-phase-nan",
+            "squeeze-phase-inf",
+            "rotate-nan",
+            "rotate-inf",
+            "vacuum-float",
+            "vacuum-bool",
         ],
     )
     def test_scalar_constructors_name_a_bad_parameter(self, build, name):

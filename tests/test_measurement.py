@@ -168,6 +168,51 @@ class TestConditionHomodyne:
         assert np.all(np.isfinite(out.state.mean))
         assert homodyne_density(twb(0.5), HomodyneSetting(mode=0), -1e200) == 0.0
 
+    def test_huge_records_in_an_array_have_zero_density(self):
+        densities = homodyne_density(twb(0.5), HomodyneSetting(mode=0), [1e200, 0.0, -1e300])
+        assert densities[0] == densities[2] == 0.0 and densities[1] > 0.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.0, math.nan], [[math.inf]]])
+    def test_conditioning_names_a_non_finite_record(self, x):
+        # before any arithmetic on it: no "mean must be finite", no RuntimeWarning
+        with pytest.raises(ValueError, match="x must be finite"):
+            condition_homodyne(twb(0.5), HomodyneSetting(mode=0, efficiency=0.8), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.floats(0.0, 3.0),
+        eta=st.floats(0.05, 1.0),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        mode=st.integers(0, 1),
+        weight=st.sampled_from([1.0, 0.37]),
+        xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+    )
+    def test_record_array_matches_scalar_calls(self, r, eta, phase, mode, weight, xs):
+        beam = twb(r)
+        state = GaussianOperator(mean=[0.1, -0.2, 0.3, 0.4], cov=beam.cov, weight=weight)
+        setting = HomodyneSetting(mode, phase, eta)
+        batch = condition_homodyne(state, setting, np.array(xs))
+        assert batch.state.mean.shape == (len(xs), 2)
+        for k, x in enumerate(xs):
+            one = condition_homodyne(state, setting, x)
+            np.testing.assert_array_equal(batch.state.mean[k], one.state.mean)
+            np.testing.assert_array_equal(batch.state.cov, one.state.cov)
+            assert batch.probability_density[k] == pytest.approx(one.probability_density, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+        index=st.integers(0, 4),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_a_non_finite_record_anywhere_raises(self, xs, index, bad):
+        xs[index % len(xs)] = bad
+        setting = HomodyneSetting(mode=1, efficiency=0.7)
+        with pytest.raises(ValueError, match="x must be finite"):
+            condition_homodyne(twb(0.8), setting, xs)
+        with pytest.raises(ValueError, match="x must be finite"):
+            homodyne_density(twb(0.8), setting, xs)
+
 
 class TestSampling:
     def test_seed_determinism(self):
