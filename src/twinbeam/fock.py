@@ -29,6 +29,13 @@ class DegenerateOutcomeError(ValueError):
     """Raised when a record value has vanishing probability density."""
 
 
+def _require_cutoff(cutoff) -> int:
+    cutoff = require_count(cutoff, "cutoff")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
+    return cutoff
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Pure state as amplitudes over number states.
@@ -42,8 +49,7 @@ class FockVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= self.cutoff <= MAX_CUTOFF:
-            raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
+        object.__setattr__(self, "cutoff", _require_cutoff(self.cutoff))
         amps = np.array(self.amps, dtype=complex if np.iscomplexobj(self.amps) else float)
         if amps.ndim not in (1, 2) or any(s != self.cutoff + 1 for s in amps.shape):
             raise ValueError("amps must be 1-D or 2-D with axes of length cutoff + 1")
@@ -109,6 +115,7 @@ def twb_fock(lam: float, cutoff: int) -> FockVector:
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
+    cutoff = _require_cutoff(cutoff)
     amps = np.zeros((cutoff + 1, cutoff + 1))
     amps[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam * lam) * lam ** np.arange(
         cutoff + 1
@@ -122,8 +129,7 @@ def quadrature_wavefunction(x, cutoff: int) -> np.ndarray:
     One stable three-term recurrence for x, a finite scalar or an array of
     finite records; the p axis is appended last.
     """
-    if not 0 <= cutoff <= MAX_CUTOFF:
-        raise ValueError(f"cutoff must lie in [0, {MAX_CUTOFF}]")
+    cutoff = _require_cutoff(cutoff)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"record x={x[~np.isfinite(x)].flat[0]} must be finite")

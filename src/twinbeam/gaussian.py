@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -94,6 +94,24 @@ class GaussianOperator:
     @property
     def n_modes(self) -> int:
         return self.mean.shape[-1] // 2
+
+    def with_mean(self, mean: np.ndarray) -> GaussianOperator:
+        """This operator's covariance and weight about ``mean``, a point or a
+        family of shape (..., 2n) freshly computed from it.
+
+        The covariance was validated when this operator was built, so only
+        the mean's shape and finiteness are checked.  ``mean`` is taken
+        over, not copied: it becomes read-only.
+        """
+        mean = np.asarray(mean, dtype=float)
+        if mean.shape[-1:] != self.mean.shape[-1:]:
+            raise ValueError("mean must match the operator's phase-space dimension")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        mean.setflags(write=False)
+        op = object.__new__(GaussianOperator)
+        op.__dict__.update(self.__dict__, mean=mean)  # with any cached spectrum
+        return op
 
     @cached_property
     def min_symplectic_eigenvalue(self) -> float:
@@ -216,15 +234,19 @@ def normal_density(delta, cov: np.ndarray):
     ``delta`` has shape (..., d) for a d x d ``cov``; a 1-D ``delta``
     gives a float.
     """
-    inv = np.linalg.inv(cov)
-    # einsum contracts a family's last axis in one pass; for one point the
-    # plain sum is cheaper, and both add the same products
-    if delta.ndim == 1:
-        quad = (delta @ inv * delta).sum()
-    else:
-        quad = np.einsum("...i,...i->...", delta @ inv, delta)
-    dens = np.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
-    return float(dens) if dens.ndim == 0 else dens
+    w = delta @ np.linalg.inv(cov)
+    w *= delta
+    norm = math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
+    if w.ndim == 1:
+        return float(np.exp(-0.5 * w.sum()) / norm)
+    # a family's quadratic forms: the columns summed in the order of one
+    # point's sum, one flat pass each rather than a reduction over a short
+    # trailing axis; then exp in place
+    dens = reduce(np.add, np.moveaxis(w, -1, 0))
+    dens *= -0.5
+    np.exp(dens, out=dens)
+    dens /= norm
+    return dens
 
 
 def vacuum(n_modes: int = 1) -> GaussianOperator:
@@ -297,7 +319,7 @@ def displace(op: GaussianOperator, mode: int, alpha) -> GaussianOperator:
     with np.errstate(over="ignore"):  # an infinite mean is reported below
         mean = add_points(op.mean, shift.view(float))
     try:
-        return GaussianOperator(mean=mean, cov=op.cov, weight=op.weight)
+        return op.with_mean(mean)
     except ValueError:
         raise ValueError("alpha must be finite and keep the displaced mean finite") from None
 

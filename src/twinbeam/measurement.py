@@ -36,9 +36,14 @@ from .gaussian import (
 )
 
 
-def _generator(seed: int) -> np.random.Generator:
+def as_generator(seed: int | np.random.Generator) -> np.random.Generator:
+    """The record stream of ``seed``: a Generator passes through, so
+    successive calls continue one stream; an integer seed starts a Philox
+    stream.  ValueError for anything else, such as 2.7, True or "3"."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     # Philox is counter-based: reproducible and cheap to fork by seed.
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(require_count(seed, "seed")))
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,11 @@ class DoubleHomodyneSetting:
         require_physical(self.reference, "reference")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in (0, 1]")
+
+    @cached_property
+    def transposed_reference(self) -> GaussianOperator:
+        """The reference's transpose, whose displacements are the POVM elements."""
+        return transpose_wigner(self.reference)
 
     @property
     def delta_sq(self) -> float:
@@ -169,17 +179,19 @@ def condition_homodyne(
 def sample_homodyne(
     state: GaussianOperator,
     setting: HomodyneSetting,
-    seed: int,
+    seed: int | np.random.Generator,
     n_samples: int | None = None,
 ):
     """Draw homodyne record values; identical seeds give identical draws.
 
     Returns a scalar when ``n_samples`` is None, else an array of that
-    length from the same deterministic stream.
+    length from the same deterministic stream.  A Generator ``seed`` is
+    drawn from and left advanced, so draws of k blocks from one Generator
+    concatenate to the draws of one call with its seed.
     """
     size = None if n_samples is None else require_count(n_samples, "n_samples")
     _, mean, variance = _homodyne_record(state, setting, "homodyne sampling")
-    rng = _generator(seed)
+    rng = as_generator(seed)
     draws = rng.normal(mean, math.sqrt(variance), size=size)
     return float(draws) if n_samples is None else draws
 
@@ -191,7 +203,7 @@ def _double_homodyne_blocks(state: GaussianOperator, setting: DoubleHomodyneSett
         raise ValueError("double homodyne conditioning expects a two-mode state")
     # POVM element: transposed Wigner function of the displaced reference,
     # broadened by the split detection's excess noise when eta < 1.
-    ref_t = transpose_wigner(setting.reference)
+    ref_t = setting.transposed_reference
     noise = 0.5 * setting.delta_sq * np.eye(2)
     s_obs = state.cov[:2, :2] + ref_t.cov + noise
     gain = np.linalg.solve(s_obs.T, state.cov[:2, 2:]).T
@@ -216,7 +228,7 @@ def double_homodyne_condition(
     shift = add_points(np.asarray(alpha, dtype=complex)[..., None].conj().view(float), offset)
     mean_cond = add_points(state.mean[..., 2:], shift @ gain.T)
     return ConditionalOutcome(
-        state=GaussianOperator(mean=mean_cond, cov=cov_cond),
+        state=GaussianOperator(mean=np.zeros(2), cov=cov_cond).with_mean(mean_cond),
         _density=lambda: state.weight * normal_density(shift, s_obs),
     )
 
@@ -224,18 +236,19 @@ def double_homodyne_condition(
 def sample_double_homodyne(
     state: GaussianOperator,
     setting: DoubleHomodyneSetting,
-    seed: int,
+    seed: int | np.random.Generator,
     n_samples: int | None = None,
 ):
-    """Draw joint records alpha = x + iy; seed-deterministic like
+    """Draw joint records alpha = x + iy; seeds and Generators as for
     :func:`sample_homodyne`."""
     require_single(state, "double homodyne sampling")
     size = 1 if n_samples is None else require_count(n_samples, "n_samples")
     ref_t, s_obs, _, _ = _double_homodyne_blocks(state, setting)
-    rng = _generator(seed)
+    rng = as_generator(seed)
     draws = rng.standard_normal((size, 2)) @ np.linalg.cholesky(s_obs).T
     # the observed point state.mean[:2] + draws is the POVM centre
     # ref_t.mean + (x, -y); the record x + iy is its conjugated offset
-    point = add_points(draws, add_points(state.mean[:2], ref_t.mean, np.subtract))
-    alpha = point.view(complex)[:, 0].conj()
+    alpha = draws.view(complex)[:, 0]
+    alpha += complex(*(state.mean[:2] - ref_t.mean))
+    np.conjugate(alpha, out=alpha)
     return complex(alpha[0]) if n_samples is None else alpha

@@ -34,9 +34,14 @@ from .gaussian import (
 )
 from .measurement import (
     DoubleHomodyneSetting,
+    as_generator,
     double_homodyne_condition,
     sample_double_homodyne,
 )
+
+# Records per block of teleport_monte_carlo: a block's temporaries, a few
+# arrays of 16 bytes per record, stay in cache.
+MC_BLOCK = 32768
 
 # Distinguished return value of eta_threshold: no efficiency in (0, 1]
 # makes the teleported state conditionally squeezed.
@@ -193,15 +198,22 @@ def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, see
     the input.  The estimator's expectation is exactly
     :func:`fidelity_coherent`; identical seeds give identical estimates.
 
-    The conditional covariance does not depend on the record, so all
-    conditioned states form one batched operator.
+    The conditional covariance does not depend on the record, so each
+    block of records is conditioned as one batched operator.  The blocks
+    draw from one stream and fill one array of fidelities, averaged once,
+    so the estimate does not depend on the block size.
     """
     n_samples = require_count(n_samples, "n_samples", minimum=1)
     config.require_single("teleport_monte_carlo")
     resource = evolve(twb(config.r), config.channel())
     reference = coherent(z)
     setting = DoubleHomodyneSetting(reference=reference, efficiency=config.eta)
-    alphas = sample_double_homodyne(resource, setting, seed, n_samples)
-    # keep only the states: the outcome's lazy density holds every record's shift
-    states = double_homodyne_condition(resource, setting, alphas).state
-    return float(np.mean(overlap(displace(states, 0, -alphas), reference)))
+    rng = as_generator(seed)
+    fidelities = np.empty(n_samples)
+    for start in range(0, n_samples, MC_BLOCK):
+        block = fidelities[start : start + MC_BLOCK]
+        alphas = sample_double_homodyne(resource, setting, rng, len(block))
+        # keep only the states: the outcome's lazy density holds every record's shift
+        states = double_homodyne_condition(resource, setting, alphas).state
+        block[:] = overlap(displace(states, 0, -alphas), reference)
+    return float(np.mean(fidelities))

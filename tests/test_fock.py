@@ -68,6 +68,20 @@ class TestTwbFock:
         with pytest.raises(ValueError):
             twb_fock(0.5, 200)  # dimension cap
 
+    @pytest.mark.parametrize("cutoff", [3.5, 1.0, True, "3", -1])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            twb_fock(0.5, cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            quadrature_wavefunction(0.1, cutoff)
+        with pytest.raises(ValueError, match="cutoff"):
+            FockVector(cutoff=cutoff, amps=[1.0, 0.0])
+
+    def test_numpy_integer_cutoff(self):
+        state = twb_fock(0.5, np.int64(3))
+        assert type(state.cutoff) is int
+        np.testing.assert_array_equal(state.amps, twb_fock(0.5, 3).amps)
+
     def test_fock_vector_shape_checks(self):
         with pytest.raises(ValueError):
             FockVector(cutoff=3, amps=np.zeros(3))

@@ -79,6 +79,20 @@ class TestGaussianOperator:
             GaussianOperator(mean=np.zeros(()), cov=0.25 * np.eye(2))
 
 
+    def test_with_mean_shares_covariance_and_weight(self):
+        state = GaussianOperator(mean=np.zeros(4), cov=twb(0.6).cov, weight=0.5)
+        require_physical(state)
+        mean = np.ones((3, 4))
+        family = state.with_mean(mean)
+        assert family.mean is mean and family.cov is state.cov and family.weight == 0.5
+        assert family.min_symplectic_eigenvalue == state.min_symplectic_eigenvalue
+        with pytest.raises(ValueError):
+            family.mean[0, 0] = 2.0  # taken over read-only
+        for bad in (np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(2), np.zeros(())):
+            with pytest.raises(ValueError, match="mean must"):
+                state.with_mean(bad)
+
+
 class TestConstructors:
     def test_coherent_mean_and_cov(self):
         z = 0.7 - 1.2j

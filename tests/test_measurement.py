@@ -304,6 +304,25 @@ class TestDoubleHomodyne:
         assert float(np.mean(draws.real)) == pytest.approx(-1.0, abs=0.02)
         assert float(np.mean(draws.imag)) == pytest.approx(0.5, abs=0.02)
 
+    def test_block_draws_continue_one_stream(self):
+        # draws from one Generator in blocks concatenate to one call's draws
+        state = evolve(twb(0.8), LossChannel(0.1, 0.2))
+        setting = DoubleHomodyneSetting(reference=coherent(1.0 - 0.5j), efficiency=0.9)
+        homodyne = HomodyneSetting(0, 0.3, 0.8)
+        sizes = (1, 63, 64, 1000, 5)
+        for sampler, kind in ((sample_double_homodyne, setting), (sample_homodyne, homodyne)):
+            rng = np.random.Generator(np.random.Philox(42))
+            blocks = np.concatenate([sampler(state, kind, rng, k) for k in sizes])
+            assert (blocks == sampler(state, kind, 42, sum(sizes))).all()
+
+    @pytest.mark.parametrize("seed", [2.7, True, "3", -1, None])
+    def test_seed_checked(self, seed):
+        state = twb(0.5)
+        with pytest.raises(ValueError, match="seed"):
+            sample_homodyne(state, HomodyneSetting(), seed, 3)
+        with pytest.raises(ValueError, match="seed"):
+            sample_double_homodyne(state, DoubleHomodyneSetting(coherent(0.0)), seed, 3)
+
     def test_per_sample_teleport_matches_monte_carlo(self):
         # the vectorized estimator must equal the explicit op pipeline
         z = 0.9 + 0.2j

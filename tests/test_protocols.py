@@ -1,29 +1,36 @@
 """Remote preparation and teleportation: closed forms, identities, MC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twinbeam import (
     IMPOSSIBLE,
+    DoubleHomodyneSetting,
     HomodyneSetting,
     LossChannel,
     TeleportConfig,
     coherent,
     condition_homodyne,
     decompose_single_mode,
+    displace,
+    double_homodyne_condition,
     effective_kappa_contribution,
     eta_threshold,
+    evolve,
     fidelity_coherent,
     overlap,
     remote_prep,
+    sample_double_homodyne,
     squeezing_from_photon_number,
     teleport_gaussian,
     teleport_monte_carlo,
     twb,
     vacuum,
 )
+from twinbeam.protocols import MC_BLOCK
 
 LN2 = math.log(2.0)
 N_GRID = (0.1, 1.0, 5.0, 20.0)
@@ -360,6 +367,45 @@ class TestMonteCarlo:
     def test_sample_count_checked(self, n_samples):
         with pytest.raises(ValueError, match="n_samples"):
             teleport_monte_carlo(0.0, TeleportConfig(r=0.5), n_samples, seed=1)
+
+    @pytest.mark.parametrize("seed", [2.7, True, "3", -1])
+    def test_seed_checked(self, seed):
+        # a float, bool or string seed is not rounded or parsed into another seed
+        with pytest.raises(ValueError, match="seed"):
+            teleport_monte_carlo(0.1, TeleportConfig(0.5), 100, seed)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TeleportConfig(r=LN2),
+            TeleportConfig(r=0.6, gamma_t=0.4, thermal_photons=0.8, eta=0.75),
+            TeleportConfig(0.9, 0.3, 0.2, 0.8),
+        ],
+    )
+    def test_blocks_equal_one_shot_pipeline(self, config):
+        # the one-shot pipeline of the README, on all records at once: the
+        # blocked estimate must equal it exactly, at and around block edges
+        z = 0.3 - 0.2j
+        resource = evolve(twb(config.r), config.channel())
+        setting = DoubleHomodyneSetting(reference=coherent(z), efficiency=config.eta)
+        block = MC_BLOCK
+        for n in (1, 63, 64, 65, block - 1, block, block + 1, 250_001):
+            alphas = sample_double_homodyne(resource, setting, n, n)
+            states = double_homodyne_condition(resource, setting, alphas).state
+            one_shot = float(np.mean(overlap(displace(states, 0, -alphas), coherent(z))))
+            assert teleport_monte_carlo(z, config, n, n) == one_shot, n
+
+    def test_memory_stays_bounded(self):
+        # a million records stream through blocks: only the fidelities are
+        # kept whole (8 MB), not the records, means and densities
+        config = TeleportConfig(0.9, 0.3, 0.2, 0.8)
+        tracemalloc.start()
+        try:
+            teleport_monte_carlo(0.3 - 0.2j, config, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_numpy_sample_count(self):
         config = TeleportConfig(r=0.5)
