@@ -228,17 +228,19 @@ def add_points(a, b, op=np.add) -> np.ndarray:
     return op(a.view(complex), b.view(complex)).view(float)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normal_density(delta, cov: np.ndarray):
     """Normal density N(delta; 0, cov) over the leading axes of ``delta``.
 
     ``delta`` has shape (..., d) for a d x d ``cov``; a 1-D ``delta``
-    gives a float.
+    gives a float.  A quadratic form that overflows gives 0.0, unwarned.
     """
     w = delta @ np.linalg.inv(cov)
     w *= delta
     norm = math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
     if w.ndim == 1:
-        return float(np.exp(-0.5 * w.sum()) / norm)
+        dens = float(np.exp(-0.5 * w.sum()) / norm)
+        return dens if dens == dens else 0.0
     # a family's quadratic forms: the columns summed in the order of one
     # point's sum, one flat pass each rather than a reduction over a short
     # trailing axis; then exp in place
@@ -246,7 +248,7 @@ def normal_density(delta, cov: np.ndarray):
     dens *= -0.5
     np.exp(dens, out=dens)
     dens /= norm
-    return dens
+    return np.fmax(dens, 0.0, out=dens)  # NaN -> 0.0
 
 
 def vacuum(n_modes: int = 1) -> GaussianOperator:

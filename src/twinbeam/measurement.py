@@ -1,18 +1,18 @@
 """Homodyne and double-homodyne measurements on Gaussian states.
 
-Conditioning is computed with exact Gaussian identities (Schur
-complements), never by discretizing a measurement kernel.  The
-conditional covariance does not depend on the record, so
-``double_homodyne_condition`` takes an array of records at once and
-returns the family of conditional states as one batched operator.
-A complex record alpha = x + iy is read as the phase-space point
-(x, -y): the conjugated records, viewed as float pairs, are the points
-with no copy, and the samplers return the records the same way.
-
-Detector efficiency ``eta`` follows the equivalent-noise picture: an
-inefficient homodyne of a quadrature behaves like a perfect one whose
-record picks up independent Gaussian noise of variance
-(1 - eta) / (4 eta).
+Both detectors are one conditional Gaussian measurement, ``_update``: the
+Kalman measurement update (Kalman 1960; Serafini, *Quantum Continuous
+Variables*, ch. 5) for a record y = C z + v of the measured mode's
+quadratures z, with noise v ~ N(0, R).  Homodyne at angle phi has
+C = (cos phi, sin phi) and R = (1 - eta) / (4 eta), an inefficient
+detector's equivalent noise; double homodyne has C = I_2 and
+R = ref_t.cov + (delta^2 / 2) I_2, the transposed reference broadened by
+the excess noise delta^2 = (1 - eta) / eta.  The conditional covariance
+does not depend on the record, so an array of records gives the family of
+conditional states as one batched operator.  A complex record
+alpha = x + iy is read as the phase-space point (x, -y): the conjugated
+records, viewed as float pairs, are the points with no copy, and the
+samplers return the records the same way.
 """
 
 from __future__ import annotations
@@ -74,6 +74,10 @@ class HomodyneSetting:
         """Equivalent Gaussian record noise (1 - eta) / (4 eta)."""
         return (1.0 - self.efficiency) / (4.0 * self.efficiency)
 
+    @cached_property
+    def _model(self):
+        return self.mode, [[math.cos(self.phase), math.sin(self.phase)]], (self.noise_variance,)
+
 
 @dataclass(frozen=True)
 class DoubleHomodyneSetting:
@@ -100,6 +104,10 @@ class DoubleHomodyneSetting:
         """Total excess noise (1 - eta) / eta of the split detection."""
         return (1.0 - self.efficiency) / self.efficiency
 
+    @cached_property
+    def _model(self):
+        return 0, np.eye(2), (self.transposed_reference.cov, 0.5 * self.delta_sq * np.eye(2))
+
 
 @dataclass(frozen=True)
 class ConditionalOutcome:
@@ -119,22 +127,27 @@ class ConditionalOutcome:
         return self._density()
 
 
-def _direction(setting: HomodyneSetting, n_modes: int) -> np.ndarray:
-    if setting.mode >= n_modes:
-        raise ValueError(f"mode {setting.mode} out of range for {n_modes} modes")
-    c = np.zeros(2 * n_modes)
-    c[2 * setting.mode] = math.cos(setting.phase)
-    c[2 * setting.mode + 1] = math.sin(setting.phase)
-    return c
-
-
-def _homodyne_record(state: GaussianOperator, setting: HomodyneSetting, what: str):
-    """The measured direction c, and the record's mean and variance, noise
-    included, for one physical state."""
-    require_single(state, what)
+def _update(state: GaussianOperator, setting):
+    """Kalman update of ``state`` for the record y = C z + v of ``setting``,
+    whose ``_model`` is (mode, C on that mode, v's independent noise
+    covariances R_i).  Returns C z, the kept modes' mean, their gain
+    K = P_kz C^T S^-1, S = C P C^T + sum R_i and their covariance given y."""
     require_physical(state)
-    c = _direction(setting, state.n_modes)
-    return c, float(c @ state.mean), float(c @ state.cov @ c) + setting.noise_variance
+    mode, block, noises = setting._model
+    if mode >= state.n_modes:
+        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
+    # C spans every quadrature, zero off the measured mode: seeded draws are
+    # pinned to the last-bit rounding of full-width products, not 2 x 2 ones
+    C = np.zeros((len(block), len(state.cov)))
+    C[:, 2 * mode : 2 * mode + 2] = block
+    s = sum(noises, C @ state.cov @ C.T)
+    # a view when the first mode is measured, as both protocols do
+    kept = slice(2, None) if mode == 0 else np.r_[: 2 * mode, 2 * mode + 2 : len(state.cov)]
+    cross = (state.cov @ C.T)[kept]
+    # a 1 x 1 S divides: a solve would round the homodyne gain differently
+    gain = cross / s if len(s) == 1 else np.linalg.solve(s, cross.T).T
+    cov = state.cov[kept][:, kept] - gain @ cross.T
+    return state.mean @ C.T, state.mean[..., kept], gain, s, 0.5 * (cov + cov.T)
 
 
 def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
@@ -142,10 +155,9 @@ def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
     or an array of densities for an array of records; 0.0 for a record so far
     out that its squared distance overflows."""
     x = as_finite_array(x, "x")  # 0-d for one record
-    _, mean, var = _homodyne_record(state, setting, "homodyne")
-    with np.errstate(over="ignore"):  # an overflowing square gives exp(-inf) = 0
-        density = state.weight * np.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
-    return float(density) if density.ndim == 0 else density
+    require_single(state, "homodyne")
+    record_mean, _, _, s, _ = _update(state, setting)
+    return state.weight * normal_density(x[..., None] - record_mean, s)
 
 
 def condition_homodyne(
@@ -159,20 +171,14 @@ def condition_homodyne(
     conditional states, all sharing one covariance.
     """
     outcome = as_finite_array(outcome, "x")
-    c, record_mean, record_var = _homodyne_record(state, setting, "homodyne conditioning")
-    n = state.n_modes
-    if n < 2:
+    require_single(state, "homodyne conditioning")
+    record_mean, mean, gain, s, cov = _update(state, setting)
+    if state.n_modes < 2:
         raise ValueError("conditioning requires at least two modes")
-    shift = outcome - record_mean
-    gain = state.cov @ c / record_var
-    mean = state.mean + np.multiply.outer(shift, gain)  # records along the leading axes
-    cov = state.cov - np.outer(gain, state.cov @ c)
-    keep = np.ones(2 * n, dtype=bool)
-    keep[2 * setting.mode : 2 * setting.mode + 2] = False
-    cov = cov[np.ix_(keep, keep)]
+    shift = outcome[..., None] - record_mean  # records along the leading axes
     return ConditionalOutcome(
-        state=GaussianOperator(mean=mean[..., keep], cov=0.5 * (cov + cov.T)),
-        _density=lambda: homodyne_density(state, setting, outcome),
+        state=GaussianOperator(mean=mean + shift @ gain.T, cov=cov),
+        _density=lambda: state.weight * normal_density(shift, s),
     )
 
 
@@ -190,25 +196,10 @@ def sample_homodyne(
     concatenate to the draws of one call with its seed.
     """
     size = None if n_samples is None else require_count(n_samples, "n_samples")
-    _, mean, variance = _homodyne_record(state, setting, "homodyne sampling")
-    rng = as_generator(seed)
-    draws = rng.normal(mean, math.sqrt(variance), size=size)
+    require_single(state, "homodyne sampling")
+    record_mean, _, _, s, _ = _update(state, setting)
+    draws = as_generator(seed).normal(record_mean[0], math.sqrt(s[0, 0]), size=size)
     return float(draws) if n_samples is None else draws
-
-
-def _double_homodyne_blocks(state: GaussianOperator, setting: DoubleHomodyneSetting):
-    """Observation mean/covariance pieces for measuring the first mode."""
-    require_physical(state)
-    if state.n_modes != 2:
-        raise ValueError("double homodyne conditioning expects a two-mode state")
-    # POVM element: transposed Wigner function of the displaced reference,
-    # broadened by the split detection's excess noise when eta < 1.
-    ref_t = setting.transposed_reference
-    noise = 0.5 * setting.delta_sq * np.eye(2)
-    s_obs = state.cov[:2, :2] + ref_t.cov + noise
-    gain = np.linalg.solve(s_obs.T, state.cov[:2, 2:]).T
-    cov_cond = state.cov[2:, 2:] - gain @ state.cov[:2, 2:]
-    return ref_t, s_obs, gain, 0.5 * (cov_cond + cov_cond.T)
 
 
 def double_homodyne_condition(
@@ -221,15 +212,17 @@ def double_homodyne_condition(
     An array of records, or a family of states, broadcasts: one density
     and one conditional state per record, all sharing one covariance.
     """
-    ref_t, s_obs, gain, cov_cond = _double_homodyne_blocks(state, setting)
-    offset = add_points(ref_t.mean, state.mean[..., :2], np.subtract)
+    record_mean, mean, gain, s, cov = _update(state, setting)
+    if state.n_modes != 2:
+        raise ValueError("double homodyne conditioning expects a two-mode state")
     # the POVM element is centred on the transposed reference displaced by
     # alpha, i.e. shifted by the point (Re alpha, -Im alpha)
+    offset = add_points(setting.transposed_reference.mean, record_mean, np.subtract)
     shift = add_points(np.asarray(alpha, dtype=complex)[..., None].conj().view(float), offset)
-    mean_cond = add_points(state.mean[..., 2:], shift @ gain.T)
+    mean = add_points(mean, shift @ gain.T)
     return ConditionalOutcome(
-        state=GaussianOperator(mean=np.zeros(2), cov=cov_cond).with_mean(mean_cond),
-        _density=lambda: state.weight * normal_density(shift, s_obs),
+        state=GaussianOperator(mean=np.zeros(2), cov=cov).with_mean(mean),
+        _density=lambda: state.weight * normal_density(shift, s),
     )
 
 
@@ -243,12 +236,13 @@ def sample_double_homodyne(
     :func:`sample_homodyne`."""
     require_single(state, "double homodyne sampling")
     size = 1 if n_samples is None else require_count(n_samples, "n_samples")
-    ref_t, s_obs, _, _ = _double_homodyne_blocks(state, setting)
-    rng = as_generator(seed)
-    draws = rng.standard_normal((size, 2)) @ np.linalg.cholesky(s_obs).T
-    # the observed point state.mean[:2] + draws is the POVM centre
+    record_mean, _, _, s, _ = _update(state, setting)
+    if state.n_modes != 2:
+        raise ValueError("double homodyne conditioning expects a two-mode state")
+    draws = as_generator(seed).standard_normal((size, 2)) @ np.linalg.cholesky(s).T
+    # the observed point record_mean + draws is the POVM centre
     # ref_t.mean + (x, -y); the record x + iy is its conjugated offset
     alpha = draws.view(complex)[:, 0]
-    alpha += complex(*(state.mean[:2] - ref_t.mean))
+    alpha += complex(*(record_mean - setting.transposed_reference.mean))
     np.conjugate(alpha, out=alpha)
     return complex(alpha[0]) if n_samples is None else alpha

@@ -189,14 +189,17 @@ def eta_threshold(r, gamma_t, thermal_photons=0.0):
     return threshold if threshold.ndim else threshold.item()
 
 
-def teleport_monte_carlo(z: complex, config: TeleportConfig, n_samples: int, seed: int) -> float:
+def teleport_monte_carlo(
+    z: complex, config: TeleportConfig, n_samples: int, seed: int | np.random.Generator
+) -> float:
     """Monte Carlo fidelity estimate for a coherent input ``z``.
 
     Simulates the full record-by-record protocol: damp both twin-beam
     arms, draw joint x/y records against the input, condition, undo the
     record by displacement, and average the per-record fidelity with
     the input.  The estimator's expectation is exactly
-    :func:`fidelity_coherent`; identical seeds give identical estimates.
+    :func:`fidelity_coherent`; identical seeds give identical estimates,
+    and a Generator ``seed`` is drawn from and left advanced.
 
     The conditional covariance does not depend on the record, so each
     block of records is conditioned as one batched operator.  The blocks

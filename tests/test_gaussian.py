@@ -229,6 +229,10 @@ class TestWigner:
         with pytest.raises(ValueError):
             wigner_eval(vacuum(1), [0.0, 0.0, 0.0])
 
+    def test_far_point_has_zero_density(self):
+        # the squared distance overflows: 0.0, no RuntimeWarning
+        assert wigner_eval(vacuum(1), (1e200, 0.0)) == 0.0
+
 
 class TestOverlap:
     @pytest.mark.parametrize(
@@ -260,6 +264,26 @@ class TestOverlap:
         v = vacuum(1)
         scaled = GaussianOperator(mean=v.mean, cov=v.cov, weight=3.0)
         assert overlap(scaled, v) == pytest.approx(3.0, rel=1e-14)
+
+    def test_far_apart_states_have_zero_overlap(self):
+        # the squared distance overflows: 0.0, no RuntimeWarning
+        assert overlap(coherent(1e160), coherent(0)) == 0.0
+
+
+class TestNormalDensity:
+    # inv(cov) = [[4, -3], [-3, 4]]: at (1e308, 1e308) both terms of
+    # delta @ inv overflow, with opposite signs, so the form sums to NaN
+    COV = np.array([[4.0, 3.0], [3.0, 4.0]]) / 7.0
+
+    def test_overflowing_form_gives_zero(self):
+        assert gaussian.normal_density(np.array([1e308, 1e308]), self.COV) == 0.0
+        assert gaussian.normal_density(np.array([1e200, 0.0]), self.COV) == 0.0
+
+    def test_overflowing_family_members_give_zero(self):
+        delta = np.array([[1e308, 1e308], [0.0, 0.0], [-1e200, 3.0]])
+        dens = gaussian.normal_density(delta, self.COV)
+        assert dens[0] == dens[2] == 0.0
+        assert dens[1] == pytest.approx(1.0 / (2.0 * math.pi * math.sqrt(1.0 / 7.0)), rel=1e-14)
 
 
 class TestModeOps:

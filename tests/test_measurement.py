@@ -23,6 +23,7 @@ from twinbeam import (
     rotate,
     sample_double_homodyne,
     sample_homodyne,
+    squeeze,
     squeezing_from_photon_number,
     teleport_monte_carlo,
     twb,
@@ -270,6 +271,11 @@ class TestDoubleHomodyne:
             reference=coherent(0.0), efficiency=0.8
         ).delta_sq == pytest.approx(0.25, abs=1e-15)
 
+    def test_huge_record_has_zero_density(self):
+        # the squared distance overflows: 0.0, no RuntimeWarning
+        setting = DoubleHomodyneSetting(coherent(0))
+        assert double_homodyne_condition(twb(0.5), setting, 1e200).probability_density == 0.0
+
     def test_requires_two_mode_state(self):
         setting = DoubleHomodyneSetting(reference=coherent(0.0))
         with pytest.raises(ValueError):
@@ -459,3 +465,135 @@ class TestPipelineProperty:
             assert np.asarray(fids)[idx] == pytest.approx(fid, rel=1e-13)
             np.testing.assert_allclose(batch.state.mean[idx], one.state.mean, rtol=1e-13, atol=1e-15)
             np.testing.assert_array_equal(batch.state.cov, one.state.cov)
+
+
+def _textbook(state, mode, C, R, y):
+    """The kept mode's conditional mean and covariance and the record density
+    for a record y = C z + v, v ~ N(0, R), of the quadratures z of ``mode``
+    of a two-mode state: the joint normal of (y, kept quadratures)
+    conditioned on y, built from its blocks with np.linalg.inv."""
+    m, k = slice(2 * mode, 2 * mode + 2), slice(2 - 2 * mode, 4 - 2 * mode)
+    s_yy = C @ state.cov[m, m] @ C.T + R
+    s_ky = state.cov[k, m] @ C.T
+    s_yy_inv = np.linalg.inv(s_yy)
+    innovation = y - C @ state.mean[m]
+    mean = state.mean[k] + s_ky @ s_yy_inv @ innovation
+    cov = state.cov[k, k] - s_ky @ s_yy_inv @ s_ky.T
+    density = math.exp(-0.5 * innovation @ s_yy_inv @ innovation) / math.sqrt(
+        np.linalg.det(2.0 * math.pi * s_yy)
+    )
+    return mean, cov, density
+
+
+def _agrees(outcome: ConditionalOutcome, reference, scale: float) -> bool:
+    """Mean, covariance and density agree to rel 1e-12; means and
+    covariance entries near zero against the input covariance's ``scale``."""
+    mean, cov, density = reference
+    return (
+        np.allclose(outcome.state.mean, mean, rtol=1e-12, atol=1e-12 * math.sqrt(scale))
+        and np.allclose(outcome.state.cov, cov, rtol=1e-12, atol=1e-12 * scale)
+        and math.isclose(outcome.probability_density, density, rel_tol=1e-12)
+    )
+
+
+def _homodyne_model(setting: HomodyneSetting):
+    """C and R of a homodyne record: the measured quadrature plus the
+    equivalent noise of an inefficient detector."""
+    eta = setting.efficiency
+    C = np.array([[math.cos(setting.phase), math.sin(setting.phase)]])
+    return C, np.array([[(1 - eta) / (4 * eta)]])
+
+
+def _double_homodyne_model(setting: DoubleHomodyneSetting):
+    """C, R and the record offset of a double-homodyne record: the measured
+    mode's point, broadened by the transposed reference and the split
+    detection's excess noise, read at the transposed reference's mean."""
+    flip = np.diag([1.0, -1.0])
+    eta = setting.efficiency
+    R = flip @ setting.reference.cov @ flip + 0.5 * (1 - eta) / eta * np.eye(2)
+    return np.eye(2), R, flip @ setting.reference.mean
+
+
+@st.composite
+def _two_mode_states(draw):
+    """Damped twin beams, then squeezed, rotated or displaced on either mode."""
+    channel = LossChannel(draw(st.floats(0.0, 1.5)), draw(st.floats(0.0, 1.0)))
+    state = evolve(twb(draw(st.floats(0.0, 1.5))), channel)
+    for _ in range(draw(st.integers(0, 3))):
+        mode, op = draw(st.integers(0, 1)), draw(st.sampled_from(["squeeze", "rotate", "displace"]))
+        if op == "squeeze":
+            state = squeeze(state, mode, draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 2.0 * math.pi)))
+        elif op == "rotate":
+            state = rotate(state, mode, draw(st.floats(0.0, 2.0 * math.pi)))
+        else:
+            alpha = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+            state = displace(state, mode, alpha)
+    return state
+
+
+def _record(reference_mean, s_yy, t):
+    """A record t standard deviations (per whitened axis) from its mean."""
+    return reference_mean + np.linalg.cholesky(s_yy) @ np.asarray(t)
+
+
+class TestTextbookConditioning:
+    """Both conditioners against the textbook conditioning of a joint normal."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        state=_two_mode_states(),
+        mode=st.integers(0, 1),
+        phase=st.floats(0.0, 2.0 * math.pi),
+        eta=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        t=st.floats(-4.0, 4.0),
+    )
+    def test_homodyne(self, state, mode, phase, eta, t):
+        setting = HomodyneSetting(mode, phase, eta)
+        C, R = _homodyne_model(setting)
+        m = slice(2 * mode, 2 * mode + 2)
+        x = _record(C @ state.mean[m], C @ state.cov[m, m] @ C.T + R, [t])
+        out = condition_homodyne(state, setting, float(x[0]))
+        assert _agrees(out, _textbook(state, mode, C, R, x), np.abs(state.cov).max())
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        state=_two_mode_states(),
+        eta=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        z=st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        r_ref=st.floats(0.0, 0.8),
+        phi_ref=st.floats(0.0, 2.0 * math.pi),
+        t=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    )
+    def test_double_homodyne(self, state, eta, z, r_ref, phi_ref, t):
+        setting = DoubleHomodyneSetting(displace(squeeze(vacuum(1), 0, r_ref, phi_ref), 0, z), eta)
+        C, R, offset = _double_homodyne_model(setting)
+        y = _record(state.mean[:2], state.cov[:2, :2] + R, t)
+        # the POVM element of alpha is centred on (Re alpha, -Im alpha) + offset
+        point = y - offset
+        out = double_homodyne_condition(state, setting, complex(point[0], -point[1]))
+        assert _agrees(out, _textbook(state, 0, C, R, y), np.abs(state.cov).max())
+
+    @pytest.mark.parametrize("detector", ["homodyne", "double homodyne"])
+    @pytest.mark.parametrize("perturbed", ["C", "R"])
+    def test_a_perturbed_model_disagrees(self, detector, perturbed):
+        # the comparison resolves a 1e-9 relative change of C or R
+        state = displace(evolve(twb(0.8), LossChannel(0.3, 0.2)), 1, 0.4 - 0.3j)
+        if detector == "homodyne":
+            setting = HomodyneSetting(1, 0.7, 0.8)
+            C, R = _homodyne_model(setting)
+            y = np.array([0.9])
+            out = condition_homodyne(state, setting, 0.9)
+        else:
+            setting = DoubleHomodyneSetting(displace(squeeze(vacuum(1), 0, 0.4, 0.5), 0, 0.3 + 0.2j), 0.8)
+            C, R, offset = _double_homodyne_model(setting)
+            y = np.array([0.9, -0.6])
+            point = y - offset
+            out = double_homodyne_condition(state, setting, complex(point[0], -point[1]))
+        mode = setting.mode if detector == "homodyne" else 0
+        scale = np.abs(state.cov).max()
+        assert _agrees(out, _textbook(state, mode, C, R, y), scale)
+        if perturbed == "C":
+            C = C * (1 + 1e-9)
+        else:
+            R = R * (1 + 1e-9)
+        assert not _agrees(out, _textbook(state, mode, C, R, y), scale)
