@@ -19,10 +19,14 @@ ones take the defaults of :class:`SweepSpec` or :func:`run_oracle_check`.
 ``_PARAMS`` names each parameter once, for the parser and the spec keys.
 
 Floats are printed with 17 significant digits so the tables round-trip
-exactly; each distinct cell of a column is formatted once.  Identical
-parameters give byte-identical tables, equal to the scalar library
-functions formatted row by row: every transcendental is taken with
-``math``, and only exact arithmetic is broadcast.
+exactly; a column is formatted at its own shape, not once per row.
+Identical parameters give byte-identical tables, equal to the scalar
+library functions formatted row by row: every transcendental is taken
+with ``math``, and only exact arithmetic is broadcast.
+
+A table is computed in full (a usage error exits 2 before any output),
+then written in blocks of about ``TABLE_BLOCK`` rows as they are
+formatted; a reader that closes the pipe early ends the run with exit 141.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -85,6 +90,9 @@ LEAKAGE_BOUND = 1e-6
 
 # Records per number-basis conditioning call: bounds the rho stack for any x grid.
 ORACLE_BLOCK = 32
+
+# Rows formatted and written at a time: bounds the cell text held at once for any grid.
+TABLE_BLOCK = 4096
 
 class ConfigurationError(ValueError):
     """Unusable parameter combination (usage error, process exit 2)."""
@@ -259,30 +267,58 @@ def _format_cells(values: np.ndarray, as_json: bool = False) -> np.ndarray:
     return np.array(list(text), dtype=object).reshape(values.shape)
 
 
-def _broadcast_cells(table: Table, columns, as_json: bool = False) -> list[list[str]]:
-    """Each column's cells formatted once, at the column's own shape, and
-    the text broadcast over the rows."""
-    return [
-        np.broadcast_to(_format_cells(table.columns[name], as_json), table.shape).ravel().tolist()
-        for name in columns
-    ]
+def _broadcast_cells(table: Table, columns, as_json: bool = False):
+    """Blocks of about ``TABLE_BLOCK`` rows in row order, each a list of
+    the columns' text over its rows.  A block slices the leading axes down
+    to the first whose inner rows fit, so a short leading axis still splits.
+    Each column is formatted at its own shape (once, if it does not vary
+    along the sliced axes) and broadcast."""
+    shape = table.shape or (1,)  # a 0-d table is one row
+    if not columns or not math.prod(shape):
+        return
+    cut = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= TABLE_BLOCK)
+    step = TABLE_BLOCK // math.prod(shape[cut + 1 :])
+    values = [v[(None,) * (len(shape) - v.ndim)] for v in map(table.columns.__getitem__, columns)]
+    split = [max(v.shape[: cut + 1]) > 1 for v in values]  # these are formatted per block
+    values = [v if s else _format_cells(v, as_json) for v, s in zip(values, split)]
+
+    def part(v, index):  # v's own cells in the block
+        return v[tuple(i if n > 1 else slice(None) for i, n in zip(index, v.shape))]
+
+    for lead in np.ndindex(*shape[:cut]):
+        for start in range(0, shape[cut], step):
+            index = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
+            rows = (1,) * cut + (min(step, shape[cut] - start),) + shape[cut + 1 :]
+            cells = (
+                _format_cells(part(v, index), as_json) if s else v for v, s in zip(values, split)
+            )
+            yield [np.broadcast_to(c, rows).ravel().tolist() for c in cells]
+
+
+def _pieces(table: Table, columns, as_json: bool = False):
+    """CSV or JSON text of ``columns``, one piece per block of rows."""
+    if as_json:
+        keys = (json.dumps(name).replace("%", "%%") for name in columns)
+        row = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }").__mod__
+        head, sep, tail, last = "[\n", ",\n", "\n]\n", "[]\n"
+    else:
+        head = ",".join(columns) + "\n"
+        row, sep, tail, last = ",".join, "\n", "\n", head  # last: an empty table's text
+    for cells in _broadcast_cells(table, columns, as_json):
+        yield head + sep.join(map(row, zip(*cells)))
+        head, last = sep, tail
+    yield last
 
 
 def rows_to_csv(table: Table, columns) -> str:
-    """CSV text of ``columns``."""
-    cells = _broadcast_cells(table, columns)
-    return "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n"
+    """CSV text of ``columns``: the pieces ``main`` writes, joined."""
+    return "".join(_pieces(table, columns))
 
 
 def rows_to_json(table: Table) -> str:
     """``json.dumps(table.rows(), indent=2)`` and a newline, with the cells
-    put into one row template."""
-    cells = _broadcast_cells(table, table.columns, as_json=True)
-    if not cells or not cells[0]:
-        return "[]\n"
-    keys = (json.dumps(name).replace("%", "%%") for name in table.columns)
-    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n]\n"
+    put into one row template: the pieces ``main`` writes, joined."""
+    return "".join(_pieces(table, table.columns, as_json=True))
 
 
 def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
@@ -444,13 +480,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rows_to_csv(table, columns) if fmt == "csv" else rows_to_json(table)
+    pieces = _pieces(table, columns, as_json=fmt == "json")
     if out in ("stdout", "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone: silence the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     else:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"error: cannot write {out}: {exc}", file=sys.stderr)
             return 2

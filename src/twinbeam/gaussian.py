@@ -182,8 +182,9 @@ def require_physical(op: GaussianOperator, what: str = "state") -> None:
     nu_min = op.min_symplectic_eigenvalue
     if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
         raise UnphysicalStateError(
-            f"{what} violates the uncertainty bound: min symplectic "
-            f"eigenvalue {nu_min:.6g} < {VACUUM_VARIANCE}"
+            f"{what} violates the uncertainty bound: min symplectic eigenvalue "
+            f"{float(nu_min)!r} is {VACUUM_VARIANCE - nu_min:.3g} below {VACUUM_VARIANCE}, "
+            f"beyond the tolerance {PHYSICALITY_TOL:g}"
         )
 
 

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from twinbeam import (
     twb,
     twb_fock,
 )
+from twinbeam import cli
 from twinbeam.cli import (
     ConfigurationError,
     ORACLE_BLOCK,
@@ -179,6 +184,111 @@ class TestFormatting:
         )
         assert rows_to_json(table) == json.dumps(table.rows(), indent=2) + "\n"
         assert rows_to_json(Table((0, 2), {"a": np.zeros((0, 1))})) == "[]\n"
+
+
+def _mixed_table(shape) -> Table:
+    """Columns of every shape that broadcasts to ``shape`` (full grid,
+    leading axis only, inner axes only, 0-d) and every kind of cell."""
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    full = rng.normal(size=shape)
+    full.flat[:4] = [-0.0, math.nan, math.inf, -math.inf][: full.size]
+    lead = np.array(rng.normal(size=shape[:1]), dtype=object).reshape(shape[:1] + (1,) * (len(shape) - 1))
+    lead[::2] = "impossible"
+    return Table(
+        shape,
+        {
+            "full": full,
+            "lead": lead,
+            "inner": np.asarray(rng.normal(size=shape[1:])),
+            "flag": full > 0,
+            "zero_d": np.array(1.0 / 3.0),
+            '100% "q"': np.array(False),
+        },
+    )
+
+
+class TestStreamedTables:
+    """Tables written block by block are the tables formatted row by row,
+    however many blocks a grid spans."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 4096])
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 4, 3), (1, 6, 2, 3), (1, 1, 9), (4,), (3, 0, 2), (0, 4)])
+    def test_blocks_join_to_the_row_by_row_tables(self, shape, block, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_BLOCK", block)
+        table = _mixed_table(shape)
+        rows = table.rows()
+        assert rows_to_csv(table, list(table.columns)) == _csv(rows, list(table.columns))
+        assert rows_to_csv(table, ["inner", "lead"]) == _csv(rows, ["inner", "lead"])
+        assert rows_to_json(table) == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_zero_dimensional_table_is_one_row(self, block, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_BLOCK", block)
+        table = Table((), {"a": np.array(-0.0), "b": np.array(True)})
+        assert rows_to_csv(table, ("a", "b")) == "a,b\n-0,true\n"
+        assert rows_to_json(table) == json.dumps(table.rows(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_file_agree(self, block, fmt, tmp_path, capsys, monkeypatch):
+        argv = ["teleport", "--r", "1:0:3", "--gamma-t", "0,0.3,2", "--M", "0,1", "--eta", "0.6,1", "--format", fmt]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "TABLE_BLOCK", block)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+        assert main(argv + ["--out", str(tmp_path / "table")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "table").read_text() == whole
+
+    def test_oracle_failure_still_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_BLOCK", 1)
+        argv = ["oracle-check", "--lam", "0.3", "--eta", "0.6", "--x", "-1,0.7", "--nodes", "2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[2].endswith("false")
+
+    def test_closed_pipe_exits_141_quietly(self):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = ["teleport", "--r", "0:2:100", "--gamma-t", "0:1:50", "--eta", "0.5:1:4"]  # ~3 MB of CSV
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twinbeam.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == (",".join(TELEPORT_COLUMNS) + "\n").encode()
+        proc.stdout.close()  # the reader goes away, as `| head -n 1` does
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (141, b"")
+
+
+class TestTableMemory:
+    """The CLI formats and writes a block at a time, so the memory it
+    holds does not grow with the rows it prints."""
+
+    BOUND = 8e6  # bytes; one 4096-row block of cell text takes ~2 MB
+
+    @staticmethod
+    def _peak(argv, monkeypatch) -> float:
+        with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def test_peak_is_bounded_and_flat_in_rows(self, monkeypatch):
+        tail = ["--gamma-t", "0:1:25", "--M", "0,0.5", "--eta", "0.5:1:20"]  # 1000 rows per r
+        by_r = self._peak(["teleport", "--r", "0:2:50", *tail], monkeypatch)
+        one_r = self._peak(["teleport", "--r", "0.7", "--gamma-t", "0:1:1250", *tail[2:]], monkeypatch)
+        half = self._peak(["teleport", "--r", "0:2:25", *tail], monkeypatch)
+        assert max(by_r, one_r) < self.BOUND, (by_r, one_r)
+        # 25k more rows add their table columns (~15 bytes a row), not their text (~500)
+        assert by_r - half < 1e6, (half, by_r)
 
 
 class TestMain:
@@ -497,6 +607,14 @@ class TestTablesMatchScalarCalls:
         assert capsys.readouterr().out == ",".join(TELEPORT_COLUMNS) + "\n"
         assert main(["remote-prep", "--spec", str(spec), "--format", "json"]) == 0
         assert capsys.readouterr().out == "[]\n"
+
+
+class TestTablesMatchScalarCallsInSmallBlocks(TestTablesMatchScalarCalls):
+    """The same tables, written in blocks of a few rows each."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "TABLE_BLOCK", 7)
 
 
 # Grid bounds each parameter is valid within; lam keeps cutoff 20 under the leakage bound.

@@ -1,6 +1,7 @@
 """Phase-space core: construction, algebra, overlaps, decomposition."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -341,6 +342,20 @@ class TestSymplectic:
         assert not is_physical(bad)
         with pytest.raises(UnphysicalStateError):
             decompose_single_mode(bad)
+
+    def test_error_states_eigenvalue_margin_and_tolerance(self):
+        # a shortfall that six significant digits of the eigenvalue would hide, as at twb(5.5)
+        bad = GaussianOperator(mean=np.zeros(2), cov=(0.25 - 1.75e-8) * np.eye(2))
+        nu = bad.min_symplectic_eigenvalue
+        with pytest.raises(UnphysicalStateError) as info:
+            condition_homodyne(bad, HomodyneSetting(0, 0.0, 0.8), 0.3)
+        pattern = r"eigenvalue (\S+) is (\S+) below (\S+), beyond the tolerance (\S+)$"
+        match = re.search(pattern, str(info.value))
+        assert match, str(info.value)
+        stated_nu, shortfall, bound, tol = map(float, match.groups())
+        assert stated_nu == nu
+        assert shortfall == pytest.approx(0.25 - nu, rel=1e-2)
+        assert (bound, tol) == (gaussian.VACUUM_VARIANCE, gaussian.PHYSICALITY_TOL)
 
     def test_spectrum_is_computed_once_per_operator(self, monkeypatch):
         calls = []
