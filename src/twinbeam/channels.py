@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianOperator, require_all, require_finite_nonnegative, require_physical
+from .gaussian import GaussianOperator, gaussian_map, require_all
+from .gaussian import require_finite_nonnegative, require_physical
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,14 @@ class LossChannel:
 
 
 def evolve(state: GaussianOperator, channel: LossChannel) -> GaussianOperator:
-    """Apply the channel to every mode of ``state``.
-
-    Means scale by sqrt(transmission); covariances contract toward the
-    bath variance.  The fixed point is the thermal state of the bath.
+    """Apply one channel to every mode of ``state``: the Gaussian map
+    X = sqrt(T) I, Y = (added variance) I, which contracts covariances toward
+    the bath variance.  The fixed point is the thermal state of the bath.
     """
     require_physical(state)
-    scale = math.sqrt(channel.transmission)
-    cov = (scale * scale) * state.cov + np.diag([channel.added_variance] * (2 * state.n_modes))
-    return GaussianOperator(mean=scale * state.mean, cov=cov, weight=state.weight)
+    require_all(np.ndim(channel.added_variance) == 0, "evolve takes one channel, not a grid")
+    eye = np.eye(2 * state.n_modes)
+    return gaussian_map(state, math.sqrt(channel.transmission) * eye, channel.added_variance * eye)
 
 
 def effective_kappa_contribution(r: float, channel: LossChannel) -> float:

@@ -26,7 +26,7 @@ with ``math``, and only exact arithmetic is broadcast.
 
 A table is computed in full (a usage error exits 2 before any output),
 then written in blocks of about ``TABLE_BLOCK`` rows as they are
-formatted; a reader that closes the pipe early ends the run with exit 141.
+formatted; a closed pipe exits 141 quietly, any other write error exits 2.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -480,21 +481,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pieces = _pieces(table, columns, as_json=fmt == "json")
-    if out in ("stdout", "-"):
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-        except BrokenPipeError:  # the reader has gone: silence the flush at exit
+    to_stdout = out in ("stdout", "-")
+    try:
+        with nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(_pieces(table, columns, as_json=fmt == "json"))
+            fh.flush()
+    except OSError as exc:
+        if to_stdout:  # silence the flush at exit
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 141
-    else:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return 2
+            if isinstance(exc, BrokenPipeError):  # the reader has gone
+                return 141
+        print(f"error: cannot write {'stdout' if to_stdout else out}: {exc}", file=sys.stderr)
+        return 2
     if command == "oracle-check" and not table.columns["pass"].all():
         return 1
     return 0

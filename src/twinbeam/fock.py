@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError, require_count
+from .gaussian import UnphysicalStateError, require_count, require_efficiency
 
 # Hilbert-space dimension cap: cutoff + 1 <= 128.
 MAX_CUTOFF = 127
@@ -162,8 +162,7 @@ def condition_fock(
     """
     if state.n_modes != 2:
         raise ValueError("conditioning requires a two-mode state")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    require_efficiency(eta, "eta")
     if eta == 1.0:  # an ideal record needs no smearing: one node
         grid = QuadratureGrid(points=[0.0], weights=[1.0])
     elif grid is None:

@@ -17,7 +17,10 @@ Conventions used throughout the package:
   operations such as ``decompose_single_mode`` reject a family;
 * a family's points are added pairwise as complex numbers x + iy (see
   :func:`add_points`), so a million states stream as one flat array
-  rather than a million loops over a trailing axis of length 2.
+  rather than a million loops over a trailing axis of length 2;
+* every covariance change is one Gaussian map (X, Y), cov -> X cov X^T + Y
+  (:func:`gaussian_map`): a symplectic X for ``squeeze`` and ``rotate``,
+  diag(1, -1, ...) for ``transpose_wigner``, multiples of I for loss and noise.
 """
 
 from __future__ import annotations
@@ -153,10 +156,10 @@ def _embed_single_mode(matrix: np.ndarray, mode: int, n_modes: int) -> np.ndarra
     return full
 
 
-def _apply_symplectic(op: GaussianOperator, s: np.ndarray) -> GaussianOperator:
-    return GaussianOperator(
-        mean=op.mean @ s.T, cov=s @ op.cov @ s.T, weight=op.weight
-    )
+def gaussian_map(op: GaussianOperator, x: np.ndarray, y=0.0) -> GaussianOperator:
+    """The Gaussian map (X, Y): mean -> X mean, cov -> X cov X^T + Y, weight
+    kept; a family's means map together.  The constructor validates the result."""
+    return GaussianOperator(mean=op.mean @ x.T, cov=x @ op.cov @ x.T + y, weight=op.weight)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -214,6 +217,11 @@ def require_count(value, name: str, minimum: int = 0) -> int:
 def require_finite_nonnegative(name: str, value) -> None:
     """Reject a number, or an array with an element, that is negative or not finite."""
     require_all((0.0 <= value) & (value < math.inf), f"{name} must be finite and nonnegative")
+
+
+def require_efficiency(value, name: str) -> None:
+    """Reject an efficiency, or an array with an element, outside (0, 1] or NaN."""
+    require_all((0.0 < value) & (value <= 1.0), f"{name} must lie in (0, 1]")
 
 
 def add_points(a, b, op=np.add) -> np.ndarray:
@@ -339,7 +347,7 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
         core = np.diag([math.exp(-r), math.exp(r)])
         s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
         with np.errstate(over="raise"):
-            return _apply_symplectic(op, s)
+            return gaussian_map(op, s)
     except (OverflowError, FloatingPointError):
         raise ValueError(f"squeezing overflows at r={r}") from None
 
@@ -347,7 +355,7 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
 def rotate(op: GaussianOperator, mode: int, phi: float) -> GaussianOperator:
     """Rotate one mode's quadratures by angle ``phi``."""
     s = _embed_single_mode(_rotation_matrix(phi, "phi"), mode, op.n_modes)
-    return _apply_symplectic(op, s)
+    return gaussian_map(op, s)
 
 
 def wigner_eval(op: GaussianOperator, point):
@@ -373,13 +381,7 @@ def overlap(a: GaussianOperator, b: GaussianOperator):
 
 def transpose_wigner(op: GaussianOperator) -> GaussianOperator:
     """Operator transpose, i.e. time reversal y -> -y on every mode."""
-    flip = np.ones(2 * op.n_modes)
-    flip[1::2] = -1.0
-    return GaussianOperator(
-        mean=flip * op.mean,
-        cov=op.cov * np.outer(flip, flip),
-        weight=op.weight,
-    )
+    return gaussian_map(op, np.diag(np.tile([1.0, -1.0], op.n_modes)))
 
 
 def decompose_single_mode(op: GaussianOperator) -> SqueezedThermalDecomposition:

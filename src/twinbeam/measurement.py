@@ -29,7 +29,9 @@ from .gaussian import (
     add_points,
     as_finite_array,
     normal_density,
+    require_all,
     require_count,
+    require_efficiency,
     require_physical,
     require_single,
     transpose_wigner,
@@ -65,8 +67,8 @@ class HomodyneSetting:
         phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError("phase must be finite")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
+        require_all(np.size(self.efficiency) == 1, "efficiency must be one number, not an array")
+        require_efficiency(self.efficiency, "efficiency")
         object.__setattr__(self, "phase", phase % (2.0 * math.pi))
 
     @property
@@ -91,8 +93,8 @@ class DoubleHomodyneSetting:
             raise ValueError("reference must be a single-mode state")
         require_single(self.reference, "reference")
         require_physical(self.reference, "reference")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
+        require_all(np.size(self.efficiency) == 1, "efficiency must be one number, not an array")
+        require_efficiency(self.efficiency, "efficiency")
 
     @cached_property
     def transposed_reference(self) -> GaussianOperator:

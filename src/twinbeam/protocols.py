@@ -24,10 +24,12 @@ from .gaussian import (
     GaussianOperator,
     coherent,
     displace,
+    gaussian_map,
     overlap,
     photon_number,
     require_all,
     require_count,
+    require_efficiency,
     require_finite_nonnegative,
     require_physical,
     twb,
@@ -89,7 +91,7 @@ class TeleportConfig:
 
     def __post_init__(self):
         require_finite_nonnegative("r", self.r)
-        require_all((0.0 < self.eta) & (self.eta <= 1.0), "eta must lie in (0, 1]")
+        require_efficiency(self.eta, "eta")
         # LossChannel validates gamma_t and thermal_photons
         self.channel()
 
@@ -129,8 +131,7 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
     """
     if not 0.0 <= r < math.inf:
         raise ValueError("r must be finite and nonnegative")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
+    require_efficiency(eta, "eta")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     n = photon_number(r)
@@ -156,15 +157,12 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
 
 
 def teleport_gaussian(state: GaussianOperator, config: TeleportConfig) -> GaussianOperator:
-    """Average teleported state: input plus kappa^2/2 noise per quadrature."""
+    """Average teleported state: the input's Gaussian map X = I, Y = (kappa^2/2) I."""
     require_physical(state)
     if state.n_modes != 1:
         raise ValueError("teleportation acts on a single-mode input")
     config.require_single("teleport_gaussian")
-    noise = 0.5 * config.kappa_sq * np.eye(2)
-    return GaussianOperator(
-        mean=state.mean, cov=state.cov + noise, weight=state.weight
-    )
+    return gaussian_map(state, np.eye(2), 0.5 * config.kappa_sq * np.eye(2))
 
 
 def fidelity_coherent(config: TeleportConfig) -> float:

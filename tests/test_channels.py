@@ -8,9 +8,11 @@ import pytest
 from twinbeam import (
     LossChannel,
     coherent,
+    displace,
     effective_kappa_contribution,
     evolve,
     is_physical,
+    squeeze,
     thermal,
     twb,
     vacuum,
@@ -79,6 +81,30 @@ class TestEvolve:
     def test_physicality_preserved(self, gamma_t, m):
         out = evolve(twb(1.4), LossChannel(gamma_t, m))
         assert is_physical(out)
+        # the hand formula evolve replaced, on a state with a mean and correlations
+        scale = math.sqrt(math.exp(-gamma_t))
+        added = 0.25 * (2.0 * m + 1.0) * (1.0 - math.exp(-gamma_t))
+        for s in (twb(1.4), displace(squeeze(twb(1.4), 0, 0.3, 0.7), 1, 0.5 - 1.0j)):
+            out = evolve(s, LossChannel(gamma_t, m))
+            want = (scale * scale) * s.cov + added * np.eye(4)
+            np.testing.assert_allclose(out.cov, want, rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(out.mean, scale * s.mean)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            LossChannel(np.array([0.1, 0.2])),
+            LossChannel(0.1, np.array([0.0, 0.5])),
+            LossChannel(np.array([[0.1], [0.2]]), np.array([0.0, 0.5])),
+        ],
+    )
+    def test_rejects_a_grid_of_channels(self, channel):
+        with pytest.raises(ValueError, match=r"^evolve takes one channel, not a grid$"):
+            evolve(twb(0.5), channel)
+
+    def test_zero_dimensional_fields_are_one_channel(self):
+        out = evolve(twb(0.5), LossChannel(np.array(0.1), np.array(0.2)))
+        np.testing.assert_array_equal(out.cov, evolve(twb(0.5), LossChannel(0.1, 0.2)).cov)
 
     def test_weight_preserved(self):
         from twinbeam.gaussian import GaussianOperator

@@ -263,6 +263,21 @@ class TestStreamedTables:
             proc.kill()
         assert (proc.returncode, err) == (141, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_stdout_exits_two_with_one_line(self, fmt):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = ["teleport", "--r", "0:2:100", "--gamma-t", "0:1:50", "--format", fmt]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twinbeam.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert err.startswith("error: cannot write stdout: [Errno 28]")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestTableMemory:
     """The CLI formats and writes a block at a time, so the memory it

@@ -6,19 +6,25 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
+    DoubleHomodyneSetting,
     GaussianOperator,
     HomodyneSetting,
     SqueezedThermalDecomposition,
+    TeleportConfig,
     UnphysicalStateError,
     coherent,
+    condition_fock,
     condition_homodyne,
     decompose_single_mode,
     displace,
     is_physical,
     overlap,
     photon_number,
+    remote_prep,
     rotate,
     squeeze,
     squeezing_from_photon_number,
@@ -26,6 +32,7 @@ from twinbeam import (
     thermal,
     transpose_wigner,
     twb,
+    twb_fock,
     vacuum,
     wigner_eval,
 )
@@ -287,6 +294,42 @@ class TestNormalDensity:
         assert dens[1] == pytest.approx(1.0 / (2.0 * math.pi * math.sqrt(1.0 / 7.0)), rel=1e-14)
 
 
+class TestRequireEfficiency:
+    @pytest.mark.parametrize(
+        "value", [1.0, 1e-300, np.float64(0.5), np.array([0.2, 1.0]), np.array([[0.7]])]
+    )
+    def test_accepts_the_unit_interval(self, value):
+        gaussian.require_efficiency(value, "eta")
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.1, 1.0 + 1e-12, math.nan, math.inf, np.array([0.5, math.nan]), np.array([[1.0], [0.0]])],
+    )
+    def test_rejects_outside_the_unit_interval_and_nan(self, value):
+        with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]$"):
+            gaussian.require_efficiency(value, "eta")
+
+    @pytest.mark.parametrize("value", [0.0, 1.5, math.nan])
+    @pytest.mark.parametrize(
+        "site, name",
+        [
+            (lambda v: HomodyneSetting(efficiency=v), "efficiency"),
+            (lambda v: DoubleHomodyneSetting(coherent(0.0), v), "efficiency"),
+            (lambda v: TeleportConfig(0.5, eta=v), "eta"),
+            (lambda v: remote_prep(0.5, v, 0.1), "eta"),
+            (lambda v: condition_fock(twb_fock(0.3, 10), 0.1, v), "eta"),
+        ],
+    )
+    def test_every_site_keeps_its_message(self, site, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\]$"):
+            site(value)
+
+    def test_settings_take_one_efficiency(self):
+        for build in (HomodyneSetting, lambda efficiency: DoubleHomodyneSetting(coherent(0.0), efficiency)):
+            with pytest.raises(ValueError, match="efficiency must be one number"):
+                build(efficiency=np.array([0.5, 0.9]))
+
+
 class TestModeOps:
     def test_displace_moves_mean_only(self):
         s = twb(0.5)
@@ -323,6 +366,49 @@ class TestModeOps:
         np.testing.assert_allclose(t.cov[0, 1], -s.cov[0, 1])
         # involution
         np.testing.assert_array_equal(transpose_wigner(t).cov, s.cov)
+        # the hand formula transpose_wigner replaced, on one and two modes and a family
+        for op in (s, displace(squeeze(twb(0.7), 1, 0.4, 1.1), 1, np.array([1.0 - 2.0j, 0.5j]))):
+            flip = np.tile([1.0, -1.0], op.n_modes)
+            np.testing.assert_array_equal(transpose_wigner(op).mean, flip * op.mean)
+            np.testing.assert_array_equal(transpose_wigner(op).cov, op.cov * np.outer(flip, flip))
+
+
+def _random_map(data, kind: str):
+    """A random two-mode (X, Y): a symplectic X (a squeeze, then a beam
+    splitter) with Y = 0, or thermal loss X = sqrt(T) I, Y = (2M+1)(1-T)/4 I."""
+    if kind == "loss":
+        t, m = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 3.0))
+        return math.sqrt(t) * np.eye(4), 0.25 * (2.0 * m + 1.0) * (1.0 - t) * np.eye(4)
+    r = data.draw(st.floats(-1.0, 1.0))
+    phase, theta = data.draw(st.floats(0.0, math.pi)), data.draw(st.floats(0.0, math.pi))
+    c, s = math.cos(phase), math.sin(phase)
+    rot = np.array([[c, -s], [s, c]])
+    sq = np.eye(4)
+    sq[:2, :2] = rot @ np.diag([math.exp(-r), math.exp(r)]) @ rot.T
+    cos_t, sin_t = math.cos(theta) * np.eye(2), math.sin(theta) * np.eye(2)
+    return np.block([[cos_t, sin_t], [-sin_t, cos_t]]) @ sq, np.zeros((4, 4))
+
+
+class TestGaussianMap:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        r=st.floats(0.0, 1.5),
+        squeezing=st.floats(-1.0, 1.0),
+        alphas=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=3),
+        kinds=st.tuples(*[st.sampled_from(["symplectic", "loss"])] * 2),
+    )
+    def test_maps_compose(self, data, r, squeezing, alphas, kinds):
+        # map(map(op, X1, Y1), X2, Y2) = map(op, X2 X1, X2 Y1 X2^T + Y2)
+        state = displace(squeeze(twb(r), 0, squeezing, 0.3), 1, np.array(alphas))
+        (x1, y1), (x2, y2) = (_random_map(data, kind) for kind in kinds)
+        two = gaussian.gaussian_map(gaussian.gaussian_map(state, x1, y1), x2, y2)
+        one = gaussian.gaussian_map(state, x2 @ x1, x2 @ y1 @ x2.T + y2)
+        assert two.weight == one.weight == state.weight
+        scale = np.abs(one.cov).max()
+        np.testing.assert_allclose(two.cov, one.cov, rtol=1e-12, atol=1e-12 * scale)
+        scale = max(1.0, np.abs(one.mean).max())
+        np.testing.assert_allclose(two.mean, one.mean, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestSymplectic:
