@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianOperator, gaussian_map, require_all
+from .gaussian import GaussianOperator, elementwise, gaussian_map, require_all
 from .gaussian import require_finite_nonnegative, require_physical
 
 
@@ -30,13 +30,13 @@ class LossChannel:
     thermal_photons: float = 0.0
 
     def __post_init__(self):
-        require_finite_nonnegative("gamma_t", self.gamma_t)
-        require_finite_nonnegative("thermal_photons", self.thermal_photons)
+        require_finite_nonnegative(self.gamma_t, "gamma_t")
+        require_finite_nonnegative(self.thermal_photons, "thermal_photons")
 
     @property
     def transmission(self) -> float:
         """Amplitude-squared survival e^{-gamma_t}."""
-        return _exp(-self.gamma_t)
+        return elementwise(math.exp, -self.gamma_t)
 
     @property
     def added_variance(self) -> float:
@@ -63,18 +63,11 @@ def effective_kappa_contribution(r: float, channel: LossChannel) -> float:
     r, or a grid of channels, broadcasts.  Raises ValueError where 2M + 1
     overflows, as it does for an M near the float limit.
     """
-    require_finite_nonnegative("r", r)
+    require_finite_nonnegative(r, "r")
     t = channel.transmission
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa = t * _exp(-2.0 * r) + (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+        bath = (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
+        kappa = t * elementwise(math.exp, -2.0 * r) + bath
     require_all(kappa < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
     return kappa
 
-
-def _exp(x):
-    """``math.exp`` of a number or of each array element: correctly
-    rounded, as ``np.exp`` may not be, so array results equal the scalar
-    ones bit for bit.  Axis-shaped arrays cost one call per axis value."""
-    if isinstance(x, np.ndarray):
-        return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    return math.exp(x)

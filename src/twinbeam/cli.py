@@ -4,11 +4,8 @@ Three subcommands share one shape: build a parameter grid, evaluate it
 into a :class:`Table` whose columns broadcast over the grid, and emit
 one flat table as CSV or JSON.
 
-* ``remote-prep``: conditional-state parameters of the heralded arm,
-  from the closed forms at each grid point;
-* ``teleport``: added noise, fidelity and efficiency threshold; the
-  closed forms are evaluated once per axis value and broadcast over the
-  grid, so the work grows with the axis lengths, not their product;
+* ``remote-prep``: conditional-state parameters of the heralded arm;
+* ``teleport``: added noise, fidelity and efficiency threshold;
 * ``oracle-check``: Gaussian engine vs number-basis brute force, with
   per-row discrepancies and a pass verdict (process exit 1 on any fail).
 
@@ -17,6 +14,10 @@ flags given, merge into one dict; each value passes its kind's converter
 (grid, integer, format or path) once, whether flag text or JSON; unset
 ones take the defaults of :class:`SweepSpec` or :func:`run_oracle_check`.
 ``_PARAMS`` names each parameter once, for the parser and the spec keys.
+
+Both closed-form tables are one library call on the grid's axes, which
+validates each axis once and takes each figure once per point of the
+axes it depends on; a column keeps that shape.
 
 Floats are printed with 17 significant digits so the tables round-trip
 exactly; a column is formatted at its own shape, not once per row.
@@ -38,15 +39,14 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import condition_fock, gauss_hermite_grid, moments_fock, twb_fock
 from .gaussian import photon_number, squeezing_from_photon_number, twb
 from .measurement import HomodyneSetting, condition_homodyne
-from .protocols import RemotePrepResult, TeleportConfig, eta_threshold, fidelity_coherent
-from .protocols import remote_prep
+from .protocols import TeleportConfig, eta_threshold, fidelity_coherent, remote_prep
 
 REMOTE_PREP_COLUMNS = (
     "r",
@@ -157,30 +157,19 @@ def _axes(*values) -> list[np.ndarray]:
 
 
 def run_remote_prep_sweep(spec: SweepSpec) -> Table:
-    """One row per (r, eta, x) grid point of heralded-state parameters."""
-    r_values = spec.squeezing()
-    n_values = [photon_number(r) for r in r_values] if spec.n is None else list(map(float, spec.n))
-    r, eta, x = _axes(r_values, spec.eta, spec.x)
-    shape = (len(r_values), len(spec.eta), len(spec.x))
-    results = [
-        remote_prep(r_value, float(eta_value), float(x_value))
-        for r_value in r_values
-        for eta_value in spec.eta
-        for x_value in spec.x
-    ]
+    """One row per (r, eta, x) grid point of heralded-state parameters;
+    N is derived from r when r was given."""
+    axes = (spec.squeezing(), spec.eta, spec.x)
+    r, eta, x = _axes(*axes)
+    n = photon_number(r) if spec.n is None else np.reshape(np.array(spec.n, float), r.shape)
     # the result's fields, in order, are the columns after x
-    values = ([getattr(res, f.name) for res in results] for f in fields(RemotePrepResult))
-    columns = (r, np.reshape(n_values, r.shape), eta, x, *(np.reshape(v, shape) for v in values))
-    return Table(shape, dict(zip(REMOTE_PREP_COLUMNS, columns)))
+    columns = (r, n, eta, x, *vars(remote_prep(r, eta, x)).values())
+    return Table(tuple(len(v) for v in axes), dict(zip(REMOTE_PREP_COLUMNS, columns)))
 
 
 def run_teleport_sweep(spec: SweepSpec) -> Table:
-    """One row per (r, gamma_t, M, eta) grid point of teleport figures.
-
-    One config holds the four axes as arrays, which validates each axis
-    once; the closed forms broadcast over the grid.  r is derived from N
-    when N was given; N itself is not needed.
-    """
+    """One row per (r, gamma_t, M, eta) grid point of teleport figures;
+    r is derived from N when N was given, and N itself is not needed."""
     axes = (spec.squeezing(), spec.gamma_t, spec.thermal_photons, spec.eta)
     r, gamma_t, m, eta = _axes(*axes)
     config = TeleportConfig(r, gamma_t, m, eta)
@@ -237,7 +226,7 @@ def run_oracle_check(
             fm = np.array(fm)
             var = outcome.state.cov[[0, 1, 0], [0, 1, 1]]
             moment_err = np.abs(np.hstack((fm[:, :2] - outcome.state.mean, fm[:, 2:5] - var)))
-            n_th = np.array([remote_prep(r, eta, x).n_th for x in x_values])
+            n_th = remote_prep(r, eta, np.array(x_values)).n_th
             purity_err = np.abs(fm[:, 5] - 1.0 / (2.0 * n_th + 1.0))
             density_err = np.abs(density - outcome.probability_density)
             errors.append((moment_err.max(axis=1), purity_err, density_err))

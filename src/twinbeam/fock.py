@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError, require_count, require_efficiency
+from .gaussian import UnphysicalStateError, require_all, require_count, require_efficiency
 
 # Hilbert-space dimension cap: cutoff + 1 <= 128.
 MAX_CUTOFF = 127
@@ -150,7 +150,7 @@ def condition_fock(
 ):
     """Project one arm of a two-mode state on quadrature records.
 
-    Measures the first index at record value ``x`` with efficiency
+    Measures the first index at record value ``x`` with one efficiency
     ``eta``; an imperfect record is the ideal one smeared by Gaussian
     noise of variance (1 - eta)/(4 eta), integrated on the grid.  An
     array of records shares one wavefunction recurrence.
@@ -162,6 +162,7 @@ def condition_fock(
     """
     if state.n_modes != 2:
         raise ValueError("conditioning requires a two-mode state")
+    require_all(np.ndim(eta) == 0, "eta must be one number, not an array")
     require_efficiency(eta, "eta")
     if eta == 1.0:  # an ideal record needs no smearing: one node
         grid = QuadratureGrid(points=[0.0], weights=[1.0])

@@ -214,7 +214,7 @@ def require_count(value, name: str, minimum: int = 0) -> int:
     return int(value)
 
 
-def require_finite_nonnegative(name: str, value) -> None:
+def require_finite_nonnegative(value, name: str) -> None:
     """Reject a number, or an array with an element, that is negative or not finite."""
     require_all((0.0 <= value) & (value < math.inf), f"{name} must be finite and nonnegative")
 
@@ -222,6 +222,15 @@ def require_finite_nonnegative(name: str, value) -> None:
 def require_efficiency(value, name: str) -> None:
     """Reject an efficiency, or an array with an element, outside (0, 1] or NaN."""
     require_all((0.0 < value) & (value <= 1.0), f"{name} must lie in (0, 1]")
+
+
+def elementwise(f, x):
+    """``f`` of a number, or of each element of an array, as a float array:
+    array results equal the scalar calls bit for bit, as ``np.exp`` or an
+    array's ``** 2`` (x * x, not C ``pow``) need not."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return f(x)
 
 
 def add_points(a, b, op=np.add) -> np.ndarray:
@@ -276,7 +285,7 @@ def coherent(alpha: complex) -> GaussianOperator:
 
 def thermal(n_th: float) -> GaussianOperator:
     """Single-mode thermal state with mean photon number ``n_th``."""
-    require_finite_nonnegative("n_th", n_th)
+    require_finite_nonnegative(n_th, "n_th")
     width = (2.0 * n_th + 1.0) * VACUUM_VARIANCE
     require_all(width < math.inf, f"thermal covariance overflows at n_th={n_th}")
     return GaussianOperator(mean=np.zeros(2), cov=width * np.eye(2))
@@ -288,7 +297,7 @@ def twb(r: float) -> GaussianOperator:
     The sum quadrature (x1 + x2)/sqrt(2) and difference (y1 - y2)/sqrt(2)
     have variance e^{2r}/4; the conjugate combinations have e^{-2r}/4.
     """
-    require_finite_nonnegative("r", r)
+    require_finite_nonnegative(r, "r")
     try:
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
@@ -305,8 +314,13 @@ def twb(r: float) -> GaussianOperator:
 
 
 def photon_number(r: float) -> float:
-    """Mean photon number per arm of a twin beam: N = 2 sinh^2 r."""
-    require_finite_nonnegative("r", r)
+    """Mean photon number per arm of a twin beam: N = 2 sinh^2 r; an array
+    of r gives one per element.  ValueError names the first r that overflows."""
+    require_finite_nonnegative(r, "r")
+    return elementwise(_photon_number, r)
+
+
+def _photon_number(r: float) -> float:
     try:
         return 2.0 * math.sinh(r) ** 2
     except OverflowError:
@@ -315,8 +329,7 @@ def photon_number(r: float) -> float:
 
 def squeezing_from_photon_number(n: float) -> float:
     """Inverse of :func:`photon_number`: r = arcsinh(sqrt(N / 2))."""
-    if not 0.0 <= n < math.inf:
-        raise ValueError("photon number must be finite and nonnegative")
+    require_finite_nonnegative(n, "photon number")
     return math.asinh(math.sqrt(0.5 * n))
 
 

@@ -24,6 +24,7 @@ from .gaussian import (
     GaussianOperator,
     coherent,
     displace,
+    elementwise,
     gaussian_map,
     overlap,
     photon_number,
@@ -90,7 +91,7 @@ class TeleportConfig:
     eta: float = 1.0
 
     def __post_init__(self):
-        require_finite_nonnegative("r", self.r)
+        require_finite_nonnegative(self.r, "r")
         require_efficiency(self.eta, "eta")
         # LossChannel validates gamma_t and thermal_photons
         self.channel()
@@ -116,6 +117,7 @@ class TeleportConfig:
             raise ValueError(f"{what} takes one configuration, not a grid")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
     """Closed-form state prepared by homodyning one twin-beam arm.
 
@@ -126,34 +128,30 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
 
     The prepared state is squeezed iff eta > 1/2 (for any r > 0); at
     eta = 1/2 the conditional x variance equals the vacuum value 1/4.
-    Raises ValueError for non-finite inputs and for r or x so large that
-    the closed forms overflow.
+    Arrays broadcast, each field over the arguments it depends on, every
+    point equal to its scalar call.  Raises ValueError for non-finite
+    inputs and where the closed forms overflow, naming the first such point.
     """
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and nonnegative")
+    require_finite_nonnegative(r, "r")
     require_efficiency(eta, "eta")
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
+    require_all(abs(x) < math.inf, "x must be finite")
     n = photon_number(r)
-    a_x = eta * math.sqrt(n * (n + 2.0)) * x / (1.0 + eta * n)
-    if not math.isfinite(a_x):
-        raise ValueError(f"the closed forms overflow at r={r}, x={x}")
+    a_x = eta * elementwise(math.sqrt, n * (n + 2.0)) * x / (1.0 + eta * n)
+    finite = abs(a_x) < math.inf
+    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
+        i = np.argmin(finite)  # the first point, in C order, that overflows
+        at_r, at_x = (np.broadcast_to(v, np.shape(a_x)).flat[i].item() for v in (r, x))
+        raise ValueError(f"the closed forms overflow at r={at_r}, x={at_x}")
     sigma1 = 0.25 * (1.0 + n * (1.0 - eta)) / (1.0 + eta * n)
     sigma2 = 0.25 * (1.0 + n)
     ratio = (1.0 + n) * (1.0 + eta * n) / (1.0 + n * (1.0 - eta))
-    n_th = 0.5 * (math.sqrt((1.0 + n) * (1.0 + n * (1.0 - eta)) / (1.0 + eta * n)) - 1.0)
-    r_squeeze = 0.25 * math.log(ratio)
+    inv_purity = elementwise(math.sqrt, (1.0 + n) * (1.0 + n * (1.0 - eta)) / (1.0 + eta * n))
+    n_th = elementwise(lambda v: max(0.0, v), 0.5 * (inv_purity - 1.0))
+    r_squeeze = 0.25 * elementwise(math.log, ratio)
     record_var = 0.25 * (1.0 + n) + (1.0 - eta) / (4.0 * eta)
-    density = math.exp(-0.5 * x * x / record_var) / math.sqrt(2.0 * math.pi * record_var)
-    return RemotePrepResult(
-        a_x_eta=a_x,
-        sigma1_sq=sigma1,
-        sigma2_sq=sigma2,
-        n_th=max(0.0, n_th),
-        r_squeeze=r_squeeze,
-        is_squeezed=sigma1 < 0.25,
-        outcome_density=density,
-    )
+    norm = elementwise(math.sqrt, 2.0 * math.pi * record_var)
+    density = elementwise(math.exp, -0.5 * x * x / record_var) / norm
+    return RemotePrepResult(a_x, sigma1, sigma2, n_th, r_squeeze, sigma1 < 0.25, density)
 
 
 def teleport_gaussian(state: GaussianOperator, config: TeleportConfig) -> GaussianOperator:

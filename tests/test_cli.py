@@ -96,6 +96,15 @@ class TestRemotePrepSweep:
             (0.2, 1.0),
         ]
 
+    def test_columns_keep_their_axes(self):
+        table = run_remote_prep_sweep(SweepSpec(r=(0.1, 0.2), eta=(0.7, 0.8, 1.0), x=(0.0, 1.0, 2.0, 3.0)))
+        shapes = {name: column.shape for name, column in table.columns.items()}
+        assert table.shape == (2, 3, 4)
+        assert shapes["r"] == shapes["N"] == shapes["sigma2_sq"] == (2, 1, 1)
+        for name in ("sigma1_sq", "n_th", "r_squeeze", "is_squeezed"):
+            assert shapes[name] == (2, 3, 1)
+        assert shapes["a_x_eta"] == shapes["density"] == (2, 3, 4)
+
 
 class TestTeleportSweep:
     def test_values_and_literals(self):
@@ -393,6 +402,8 @@ class TestMain:
             ["teleport", "--r", "0.5", "--M", "0,inf"],
             ["teleport", "--r", "0.5", "--eta", "0.9,0"],
             ["remote-prep", "--r", "1", "--x", "nan"],  # non-finite record
+            ["remote-prep", "--r", "0.5,300", "--x", "0,1"],  # the closed forms overflow at one point
+            ["remote-prep", "--r", "0.5,400", "--x", "0,1"],
             ["teleport", "--r", "0.5", "--seed", "5"],  # --seed is gone
             ["teleport", "--r", "0.3", "--M", "1e308", "--gamma-t", "0,0.1"],  # 2M + 1 overflows
             ["teleport", "--r", "0.3", "--eta", "5e-324"],  # (1 - eta)/eta overflows

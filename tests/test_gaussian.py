@@ -328,6 +328,9 @@ class TestRequireEfficiency:
         for build in (HomodyneSetting, lambda efficiency: DoubleHomodyneSetting(coherent(0.0), efficiency)):
             with pytest.raises(ValueError, match="efficiency must be one number"):
                 build(efficiency=np.array([0.5, 0.9]))
+        for eta in (np.array([0.5, 0.9]), np.array([0.5])):
+            with pytest.raises(ValueError, match="^eta must be one number, not an array$"):
+                condition_fock(twb_fock(0.3, 10), 0.1, eta)
 
 
 class TestModeOps:

@@ -1,10 +1,14 @@
 """Remote preparation and teleportation: closed forms, identities, MC."""
 
 import math
+import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     IMPOSSIBLE,
@@ -12,6 +16,7 @@ from twinbeam import (
     GaussianOperator,
     HomodyneSetting,
     LossChannel,
+    RemotePrepResult,
     TeleportConfig,
     coherent,
     condition_homodyne,
@@ -23,6 +28,7 @@ from twinbeam import (
     evolve,
     fidelity_coherent,
     overlap,
+    photon_number,
     remote_prep,
     sample_double_homodyne,
     squeezing_from_photon_number,
@@ -316,6 +322,29 @@ class TestBroadcast:
             with pytest.raises(ValueError):
                 eta_threshold(r, gamma_t, m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
+        eta=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+        x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+    )
+    # 2 sinh(r)^2 with an array's ** 2 (x * x, not C pow) moves N here by 1 ulp
+    @example(r=[2.8984114981603737], eta=[0.8], x=[0.3])
+    def test_remote_prep_grid_equals_scalar_calls_bit_for_bit(self, r, eta, x):
+        axes = np.reshape(r, (-1, 1, 1)), np.reshape(eta, (-1, 1)), np.array(x)
+        grid = remote_prep(*axes)
+        n = photon_number(axes[0])
+        for i, j, k in np.ndindex(len(r), len(eta), len(x)):
+            point = remote_prep(r[i], eta[j], x[k])
+            assert float.hex(n[i, 0, 0]) == float.hex(photon_number(r[i]))
+            for field in fields(RemotePrepResult):
+                want = getattr(point, field.name)
+                got = np.broadcast_to(getattr(grid, field.name), (len(r), len(eta), len(x)))[i, j, k]
+                if field.name == "is_squeezed":
+                    assert type(want) is bool and got == want
+                else:
+                    assert type(want) is float and float.hex(float(got)) == float.hex(want)
+
 
 class TestOverflow:
     """Figures that would not be finite raise ValueError, for numbers and
@@ -335,6 +364,20 @@ class TestOverflow:
         ):
             with pytest.raises(ValueError, match="overflows"):
                 figure()
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (300.0, "the closed forms overflow at r=300.0, x=0.0"),  # N (N + 2) = inf; inf * 0
+            (400.0, "photon number overflows at r=400.0"),
+        ],
+    )
+    def test_remote_prep_overflow_names_the_point(self, r, message, as_array):
+        # an array's first offending point in C order: r = 300 (or 400), x = 0
+        args = (np.array([[0.5], [r]]), 0.8, np.array([0.0, 1.0])) if as_array else (r, 0.8, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            remote_prep(*args)
 
     @pytest.mark.parametrize("eta", [5e-324, np.array([0.9, 5e-324])])
     def test_efficiency_noise_overflow_raises(self, eta):
