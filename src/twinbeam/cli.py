@@ -89,7 +89,7 @@ DENSITY_TOL = 1e-6
 # Largest truncation leakage lam^(2 (cutoff + 1)) that oracle-check accepts.
 LEAKAGE_BOUND = 1e-6
 
-# Records per number-basis conditioning call: bounds the rho stack for any x grid.
+# Records per number-basis conditioning call: bounds the amplitude rows held for any x grid.
 ORACLE_BLOCK = 32
 
 # Rows formatted and written at a time: bounds the cell text held at once for any grid.
@@ -216,19 +216,17 @@ def run_oracle_check(
         for eta in eta_values:
             setting = HomodyneSetting(mode=0, phase=0.0, efficiency=eta)
             outcome = condition_homodyne(beam, setting, x_values)
-            density, fm = [], []  # fm's rows: mean_x, mean_y, var_x, var_y, cov_xy, purity
+            fock = []  # per block: density, mean_x, mean_y, var_x, var_y, cov_xy, purity
             for start in range(0, len(x_values), ORACLE_BLOCK):
                 records = x_values[start : start + ORACLE_BLOCK]
-                block, rho = condition_fock(fock_beam, records, eta, grid)
-                density.extend(block)
-                fm.extend(moments_fock(rho_x) for rho_x in rho)
-                del rho  # release this stack before the next one is built
-            fm = np.array(fm)
+                density, rows = condition_fock(fock_beam, records, eta, grid)
+                fock.append((density, *moments_fock(rows)))
+            fock = np.hstack(fock).T  # one row per record
             var = outcome.state.cov[[0, 1, 0], [0, 1, 1]]
-            moment_err = np.abs(np.hstack((fm[:, :2] - outcome.state.mean, fm[:, 2:5] - var)))
+            moment_err = np.abs(np.hstack((fock[:, 1:3] - outcome.state.mean, fock[:, 3:6] - var)))
             n_th = remote_prep(r, eta, np.array(x_values)).n_th
-            purity_err = np.abs(fm[:, 5] - 1.0 / (2.0 * n_th + 1.0))
-            density_err = np.abs(density - outcome.probability_density)
+            purity_err = np.abs(fock[:, 6] - 1.0 / (2.0 * n_th + 1.0))
+            density_err = np.abs(fock[:, 0] - outcome.probability_density)
             errors.append((moment_err.max(axis=1), purity_err, density_err))
     lam, eta, x = _axes(lam_values, eta_values, x_values)
     shape = (len(lam_values), len(eta_values), len(x_values))

@@ -3,9 +3,10 @@
 Everything here is deliberately independent of the phase-space modules:
 states are amplitude arrays over number states, quadrature projections
 use the oscillator wavefunctions, and inefficiency is handled by
-Gauss-Hermite smearing of the ideal record.  Agreement between this
-route and the Gaussian closed forms is the package's strongest
-correctness evidence.
+Gauss-Hermite smearing of the ideal record, so a conditional state is
+amplitude rows f_k, one per node: rho = sum_k |f_k><f_k|.  Agreement
+between this route and the Gaussian closed forms is the package's
+strongest correctness evidence.
 
 The same quadrature convention applies: x = (a + a^dag)/2, so the
 ground-state wavefunction is (2/pi)^{1/4} e^{-x^2} with variance 1/4.
@@ -73,7 +74,7 @@ class FockVector:
 
 
 class FockMoments(NamedTuple):
-    """Quadrature moments and purity extracted from a density matrix."""
+    """Quadrature moments and purity of a conditional state."""
 
     mean_x: float
     mean_y: float
@@ -156,9 +157,9 @@ def condition_fock(
     array of records shares one wavefunction recurrence.
 
     Returns:
-        (density, rho): the record's probability density and the
-        normalized reduced density matrix of the unmeasured mode; for an
-        array ``x``, arrays of shape x.shape and x.shape + (d, d).
+        (density, rows): the record's density and rows f_k = sqrt(w_k)
+        psi(node_k) amps / sqrt(density) with rho = sum_k |f_k><f_k|; for
+        an array ``x``, of shape x.shape and x.shape + (nodes, d).
     """
     if state.n_modes != 2:
         raise ValueError("conditioning requires a two-mode state")
@@ -171,50 +172,48 @@ def condition_fock(
     x = np.asarray(x, dtype=float)
     sigma = math.sqrt((1.0 - eta) / (4.0 * eta))
     nodes = x[..., None] + math.sqrt(2.0) * sigma * grid.points
-    proj = quadrature_wavefunction(nodes, state.cutoff) @ state.amps
-    density = np.empty(x.shape)
-    rho = np.empty(x.shape + state.amps.shape, dtype=proj.dtype)
-    for k in np.ndindex(x.shape):  # per record, in place: only the rho stack is large
-        r = rho[k]
-        np.matmul(proj[k].T * grid.weights, proj[k].conj(), out=r)
-        density[k] = np.trace(r).real
-        if density[k] < 1e-300:
-            raise DegenerateOutcomeError(f"record x={x[k]} has vanishing density")
-        r /= density[k]
-        r += r.conj().T
-        r *= 0.5
-    return (float(density), rho) if x.ndim == 0 else (density, rho)
+    rows = quadrature_wavefunction(nodes, state.cutoff) @ state.amps
+    rows *= np.sqrt(grid.weights)[:, None]
+    density = np.einsum("...kp,...kp->...", rows, rows.conj()).real
+    if (density < 1e-300).any():
+        first = x[density < 1e-300].flat[0]  # in C order
+        raise DegenerateOutcomeError(f"record x={first} has vanishing density")
+    rows /= np.sqrt(density)[..., None, None]
+    return (float(density), rows) if x.ndim == 0 else (density, rows)
 
 
-def moments_fock(rho: np.ndarray) -> FockMoments:
-    """Quadrature means, (co)variances and purity of a density matrix.
+def moments_fock(rows: np.ndarray) -> FockMoments:
+    """Quadrature means, (co)variances and purity of rho = sum_k |f_k><f_k|.
 
-    From three bands of rho's Hermitian part: mean_x + i mean_y = <a> =
+    ``rows`` holds the f_k, (..., K, d), as :func:`condition_fock` gives
+    them; leading axes broadcast, and a 2-D input gives floats.  With
+    rho[p+j, p] = sum_k f_k[p+j] conj(f_k[p]): mean_x + i mean_y = <a> =
     sum_p sqrt(p+1) rho[p+1, p]; with <a^2> = sum_p sqrt((p+1)(p+2))
     rho[p+2, p], var_x and var_y are (<{a, a^dag}> +- 2 Re<a^2>)/4 less the
     squared means and cov_xy is Im<a^2>/2 - mean_x mean_y; the purity is
-    sum |rho|^2.  {a, a^dag} is that of the truncated ladder operators:
-    diag(2p + 1), except p at the top level p = cutoff, where the truncated
-    a a^dag is 0.  Inputs must be finite and Hermitian with unit trace to
-    1e-8; a real rho stays real.
+    tr rho^2 = ||F F^dag||^2.  {a, a^dag} is that of the truncated ladder
+    operators: diag(2p + 1), except p at the top level p = cutoff, where
+    the truncated a a^dag is 0.  Rows must be finite, with unit trace to
+    1e-8; real rows stay real.
     """
-    rho = np.asarray(rho, dtype=complex if np.iscomplexobj(rho) else float)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise UnphysicalStateError("rho must be a square matrix")
-    if not np.isfinite(rho).all():
-        raise UnphysicalStateError("rho must be finite")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-        raise UnphysicalStateError("rho must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    rows = np.asarray(rows, dtype=complex if np.iscomplexobj(rows) else float)
+    if rows.ndim < 2 or not np.isfinite(rows).all():
+        raise UnphysicalStateError("rows must be finite, of shape (..., K, d)")
+    conj, dim = rows.conj(), rows.shape[-1]
+    diag, lower, lower_2 = (  # rho[p + j, p] over p, for j = 0, 1, 2
+        np.einsum("...kp,...kp->...p", rows[..., j:], conj[..., : dim - j]) for j in range(3)
+    )
+    if (abs(diag.real.sum(axis=-1) - 1.0) > 1e-8).any():
         raise UnphysicalStateError("rho must have unit trace")
-    rho = 0.5 * (rho + rho.conj().T)
-    levels = np.arange(rho.shape[0])
+    levels = np.arange(dim)
     root = np.sqrt(levels[1:])  # sqrt(p + 1)
-    a = complex(root @ np.diagonal(rho, -1))
-    a_sq = complex((root[:-1] * root[1:]) @ np.diagonal(rho, -2))
-    anti = float((levels + np.append(levels[1:], 0)) @ np.diagonal(rho).real)
+    a = (lower * root).sum(axis=-1)  # not @: a stack then equals its records bit for bit
+    a_sq = (lower_2 * (root[:-1] * root[1:])).sum(axis=-1)
+    anti = (diag.real * (levels + np.append(levels[1:], 0))).sum(axis=-1)
+    purity = np.sum(np.abs(rows @ np.swapaxes(conj, -1, -2)) ** 2, axis=(-2, -1))
     mean_x, mean_y = a.real, a.imag
     var_x = 0.25 * (anti + 2.0 * a_sq.real) - mean_x**2
     var_y = 0.25 * (anti - 2.0 * a_sq.real) - mean_y**2
     cov_xy = 0.5 * a_sq.imag - mean_x * mean_y
-    return FockMoments(mean_x, mean_y, var_x, var_y, cov_xy, float(np.vdot(rho, rho).real))
+    moments = (mean_x, mean_y, var_x, var_y, cov_xy, purity)
+    return FockMoments(*(map(float, moments) if rows.ndim == 2 else moments))

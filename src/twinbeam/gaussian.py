@@ -321,8 +321,8 @@ def photon_number(r: float) -> float:
 
 
 def _photon_number(r: float) -> float:
-    try:
-        return 2.0 * math.sinh(r) ** 2
+    try:  # ldexp doubles exactly and, unlike 2.0 * ..., raises where that overflows
+        return math.ldexp(math.sinh(r) ** 2, 1)
     except OverflowError:
         raise ValueError(f"photon number overflows at r={r}") from None
 

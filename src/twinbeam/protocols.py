@@ -176,12 +176,14 @@ def eta_threshold(r, gamma_t, thermal_photons=0.0):
     (thermal_photons = 0) a threshold always exists.  Array arguments
     broadcast to an object array of such values.
     """
-    a = effective_kappa_contribution(r, LossChannel(gamma_t, thermal_photons))
+    channel = LossChannel(gamma_t, thermal_photons)
+    a = effective_kappa_contribution(r, channel)
     # min(1, 1/(2 - a)) = 1/(2 - min(a, 1))
     threshold = np.asarray(1.0 / (2.0 - np.fmin(a, 1.0))).astype(object)
-    # a <= 1 always holds for a vacuum bath; the epsilon absorbs the
-    # 1-ulp rounding of that boundary so M = 0 never reports impossible
-    threshold[a > 1.0 + 1e-12] = IMPOSSIBLE
+    # a > 1 <=> 2M (1 - e^{-gamma_t}) > e^{-gamma_t} (1 - e^{-2r}), negated: expm1 cancels
+    # on neither side, and at M = 0 the left side is exactly 0, so a vacuum bath never fails
+    bath = 2.0 * thermal_photons * elementwise(math.expm1, -gamma_t)
+    threshold[bath < channel.transmission * elementwise(math.expm1, -2.0 * r)] = IMPOSSIBLE
     return threshold if threshold.ndim else threshold.item()
 
 

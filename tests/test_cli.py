@@ -160,6 +160,55 @@ class TestOracleCheckRun:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
+class TestGateEdges:
+    """oracle-check's gates at their edges, with their documented values
+    written out: a tolerance or bound loosened 100x, or the cutoff cap moved
+    by one, fails here."""
+
+    @pytest.mark.parametrize("column, tol", [("max_moment_err", 1e-5), ("purity_err", 1e-4), ("density_err", 1e-6)])
+    def test_an_error_past_one_tolerance_fails_the_row(self, column, tol, monkeypatch):
+        # one number-basis figure moved by 5 tol puts that column's error in
+        # (tol, 100 tol); the point's other errors stay ~1e-15
+        shift = dict.fromkeys(("max_moment_err", "purity_err", "density_err"), 0.0) | {column: 5.0 * tol}
+
+        def shifted_condition(*args):
+            density, rows = condition_fock(*args)
+            return density + shift["density_err"], rows
+
+        def shifted_moments(rows):
+            m = moments_fock(rows)
+            return m._replace(mean_x=m.mean_x + shift["max_moment_err"], purity=m.purity + shift["purity_err"])
+
+        monkeypatch.setattr(cli, "condition_fock", shifted_condition)
+        monkeypatch.setattr(cli, "moments_fock", shifted_moments)
+        (row,) = run_oracle_check((0.3,), (0.8,), (0.7,)).rows()
+        assert tol < row[column] < 100.0 * tol
+        assert all(row[name] < 1e-12 for name in shift if name != column)
+        assert not row["pass"]
+
+    @pytest.mark.parametrize("scale, code", [(1.0 + 1e-4, 1), (1.0 + 1e-6, 0)])
+    def test_engine_noise_perturbation(self, scale, code, monkeypatch, capsys):
+        # the engine's homodyne noise off by 1e-4 moves the default grid's
+        # errors to ~1.6e-5 (moments) and ~1e-5 (density); off by 1e-6, ~100x less
+        noise = HomodyneSetting.noise_variance
+        monkeypatch.setattr(HomodyneSetting, "noise_variance", property(lambda s: noise.fget(s) * scale))
+        assert main(["oracle-check"]) == code
+
+    def test_leakage_bound(self, capsys):
+        # lam^(2 (cutoff + 1)) against the bound 1e-6, at cutoff 20
+        edge = 1e-6 ** (1.0 / 42.0)
+        argv = ["oracle-check", "--eta", "1,0.8", "--x", "0,0.7", "--cutoff", "20", "--lam"]
+        assert main([*argv, repr(edge * (1.0 + 1e-9))]) == 2
+        assert "bound is 1e-06" in capsys.readouterr().err
+        assert main([*argv, repr(edge * (1.0 - 1e-9))]) == 0
+
+    def test_cutoff_cap(self, capsys):
+        argv = ["oracle-check", "--lam", "0.5", "--eta", "1", "--x", "0", "--cutoff"]
+        assert main([*argv, "127"]) == 0
+        assert main([*argv, "128"]) == 2
+        assert "cutoff must lie in [0, 127]" in capsys.readouterr().err
+
+
 class TestFormatting:
     def test_csv_17_digits_round_trip(self):
         table = Table((1,), {"a": np.array([0.1]), "flag": np.array([True]), "word": np.array(["impossible"], dtype=object)})

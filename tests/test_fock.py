@@ -27,6 +27,11 @@ LAM_N1 = 1.0 / math.sqrt(3.0)  # twin beam with N = 1
 R_N1 = math.atanh(LAM_N1)
 
 
+def _rho(rows: np.ndarray) -> np.ndarray:
+    """The density matrix sum_k |f_k><f_k| = F^T conj(F) of amplitude rows F."""
+    return np.swapaxes(rows, -1, -2) @ rows.conj()
+
+
 def _dense_moments(rho: np.ndarray) -> tuple:
     """Reference moments: traces of rho against products of the truncated
     ladder operator's dense matrices."""
@@ -67,6 +72,11 @@ class TestTwbFock:
             twb_fock(-0.1, 10)
         with pytest.raises(ValueError):
             twb_fock(0.5, 200)  # dimension cap
+
+    def test_cutoff_cap(self):
+        assert twb_fock(0.5, 127).amps.shape == (128, 128)
+        with pytest.raises(ValueError, match=r"cutoff must lie in \[0, 127\]"):
+            twb_fock(0.5, 128)
 
     @pytest.mark.parametrize("cutoff", [3.5, 1.0, True, "3", -1])
     def test_cutoff_must_be_an_integer(self, cutoff):
@@ -178,8 +188,8 @@ class TestConditionFock:
     def test_ideal_frozen_moments(self):
         # lam = 1/sqrt(3), x = 0.5: mean sqrt(3)/4, variances 1/8 and 1/2
         state = twb_fock(LAM_N1, 40)
-        density, rho = condition_fock(state, 0.5, 1.0)
-        m = moments_fock(rho)
+        density, rows = condition_fock(state, 0.5, 1.0)
+        m = moments_fock(rows)
         assert density == pytest.approx(0.43939128946772243, abs=1e-12)
         assert m.mean_x == pytest.approx(0.4330127018922193, abs=1e-12)
         assert m.mean_y == pytest.approx(0.0, abs=1e-13)
@@ -193,8 +203,8 @@ class TestConditionFock:
     @pytest.mark.parametrize("x", (0.0, 0.7))
     def test_noisy_record_matches_gaussian_engine(self, lam, eta, x):
         r = math.atanh(lam)
-        density, rho = condition_fock(twb_fock(lam, 40), x, eta)
-        m = moments_fock(rho)
+        density, rows = condition_fock(twb_fock(lam, 40), x, eta)
+        m = moments_fock(rows)
         out = condition_homodyne(twb(r), HomodyneSetting(mode=0, efficiency=eta), x)
         assert density == pytest.approx(out.probability_density, abs=1e-6)
         assert m.mean_x == pytest.approx(out.state.mean[0], abs=1e-5)
@@ -220,14 +230,17 @@ class TestConditionFock:
 
     def test_node_count_stability(self):
         state = twb_fock(0.8, 40)
-        d40, rho40 = condition_fock(state, 0.7, 0.6, gauss_hermite_grid(40))
-        d80, rho80 = condition_fock(state, 0.7, 0.6, gauss_hermite_grid(80))
+        d40, rows40 = condition_fock(state, 0.7, 0.6, gauss_hermite_grid(40))
+        d80, rows80 = condition_fock(state, 0.7, 0.6, gauss_hermite_grid(80))
         assert d40 == pytest.approx(d80, abs=1e-10)
-        np.testing.assert_allclose(rho40, rho80, atol=1e-9)
+        np.testing.assert_allclose(_rho(rows40), _rho(rows80), atol=1e-9)
 
     def test_degenerate_record(self):
         with pytest.raises(DegenerateOutcomeError):
             condition_fock(twb_fock(0.3, 20), 40.0, 1.0)
+        # an array names its first such record in C order
+        with pytest.raises(DegenerateOutcomeError, match=r"record x=40\.0 has"):
+            condition_fock(twb_fock(0.3, 20), [[0.1, 0.2], [40.0, 50.0]], 0.8, gauss_hermite_grid(4))
 
     def test_validation(self):
         single = FockVector(cutoff=2, amps=np.array([1.0, 0.0, 0.0]))
@@ -244,12 +257,14 @@ class TestConditionFock:
 
     def test_record_array_shapes(self):
         xs = np.array([[-0.5, 0.0, 0.2], [1.0, 1.5, -2.0]])
-        density, rho = condition_fock(twb_fock(0.5, 12), xs, 0.8, gauss_hermite_grid(6))
-        assert density.shape == xs.shape and rho.shape == xs.shape + (13, 13)
-        assert rho.dtype == np.float64  # real amplitudes give a real rho
-        np.testing.assert_array_equal(rho, np.swapaxes(rho, -1, -2))
-        density, rho = condition_fock(twb_fock(0.5, 12), 0.2, 0.8, gauss_hermite_grid(6))
-        assert isinstance(density, float) and rho.shape == (13, 13)
+        density, rows = condition_fock(twb_fock(0.5, 12), xs, 0.8, gauss_hermite_grid(6))
+        assert density.shape == xs.shape and rows.shape == xs.shape + (6, 13)
+        assert rows.dtype == np.float64  # real amplitudes give real rows
+        np.testing.assert_allclose(np.trace(_rho(rows), axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-14)
+        density, rows = condition_fock(twb_fock(0.5, 12), 0.2, 0.8, gauss_hermite_grid(6))
+        assert isinstance(density, float) and rows.shape == (6, 13)
+        _, rows = condition_fock(twb_fock(0.5, 12), xs, 1.0, gauss_hermite_grid(6))
+        assert rows.shape == xs.shape + (1, 13)  # an ideal record has one node
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -259,10 +274,10 @@ class TestConditionFock:
     )
     def test_record_array_equals_stacked_records(self, lam, eta, xs):
         state, grid = twb_fock(lam, 40), gauss_hermite_grid(16)
-        density, rho = condition_fock(state, np.array(xs), eta, grid)
+        density, rows = condition_fock(state, np.array(xs), eta, grid)
         singles = [condition_fock(state, x, eta, grid) for x in xs]
         np.testing.assert_allclose(density, [d for d, _ in singles], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(rho, np.stack([r for _, r in singles]), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(rows, np.stack([f for _, f in singles]), rtol=0.0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -273,13 +288,12 @@ class TestConditionFock:
     def test_real_and_complex_amplitudes_agree(self, lam, eta, xs):
         real = twb_fock(lam, 40)
         cplx = FockVector(cutoff=40, amps=real.amps.astype(complex))
-        d_real, rho_real = condition_fock(real, xs, eta)
-        d_cplx, rho_cplx = condition_fock(cplx, xs, eta)
-        assert rho_real.dtype == np.float64 and rho_cplx.dtype == np.complex128
+        d_real, rows_real = condition_fock(real, xs, eta)
+        d_cplx, rows_cplx = condition_fock(cplx, xs, eta)
+        assert rows_real.dtype == np.float64 and rows_cplx.dtype == np.complex128
         np.testing.assert_allclose(d_real, d_cplx, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(rho_real, rho_cplx, rtol=0.0, atol=1e-13)
-        for m_real, m_cplx in zip(map(moments_fock, rho_real), map(moments_fock, rho_cplx)):
-            np.testing.assert_allclose(m_real, m_cplx, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(rows_real, rows_cplx, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(moments_fock(rows_real), moments_fock(rows_cplx), rtol=0.0, atol=1e-13)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -296,9 +310,9 @@ class TestConditionFock:
 
 class TestMomentsFock:
     def test_vacuum(self):
-        rho = np.zeros((5, 5))
-        rho[0, 0] = 1.0
-        m = moments_fock(rho)
+        rows = np.zeros((1, 5))
+        rows[0, 0] = 1.0
+        m = moments_fock(rows)
         assert m.mean_x == 0.0 and m.mean_y == 0.0
         assert m.var_x == pytest.approx(0.25, abs=1e-15)
         assert m.var_y == pytest.approx(0.25, abs=1e-15)
@@ -308,58 +322,79 @@ class TestMomentsFock:
         # occupation 1: variances 3/4, purity 1/3
         n = np.arange(61)
         weights = 0.5 ** (n + 1)
-        rho = np.diag(weights / weights.sum())
-        m = moments_fock(rho)
+        m = moments_fock(np.diag(np.sqrt(weights / weights.sum())))
         assert m.var_x == pytest.approx(0.75, abs=1e-12)
         assert m.var_y == pytest.approx(0.75, abs=1e-12)
         assert m.purity == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_coherent_like_displacement(self):
         # single-mode conditioning output carries the heralded mean
-        _, rho = condition_fock(twb_fock(LAM_N1, 40), 1.3, 1.0)
-        m = moments_fock(rho)
+        _, rows = condition_fock(twb_fock(LAM_N1, 40), 1.3, 1.0)
+        m = moments_fock(rows)
         assert m.mean_x == pytest.approx(math.sqrt(3.0) / 4.0 * 2.6, abs=1e-10)
 
     def test_validation(self):
         with pytest.raises(UnphysicalStateError):
-            moments_fock(np.zeros((3, 4)))
+            moments_fock(np.zeros((3, 4)))  # trace 0
         with pytest.raises(UnphysicalStateError):
-            moments_fock(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not hermitian
-        with pytest.raises(UnphysicalStateError):
-            moments_fock(0.5 * np.eye(4))  # trace 2
+            moments_fock(math.sqrt(0.5) * np.eye(4))  # trace 2
+        with pytest.raises(UnphysicalStateError, match="shape"):
+            moments_fock(np.array([1.0, 0.0]))  # one row needs a node axis
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
     def test_non_finite_rho_raises(self, bad):
-        rho = np.diag([1.0, 0.0, 0.0]).astype(type(bad))
-        rho[1, 2] = rho[2, 1] = bad
-        with pytest.raises(UnphysicalStateError, match="rho must be finite"):
-            moments_fock(rho)
+        rows = np.diag([1.0, 0.0, 0.0]).astype(type(bad))
+        rows[1, 2] = bad
+        with pytest.raises(UnphysicalStateError, match="rows must be finite"):
+            moments_fock(rows)
 
     def test_real_rho_matches_its_complex_copy(self):
-        _, rho = condition_fock(twb_fock(0.6, 30), 0.4, 0.7)
-        assert rho.dtype == np.float64
-        np.testing.assert_allclose(moments_fock(rho), moments_fock(rho.astype(complex)), rtol=0.0, atol=1e-15)
+        _, rows = condition_fock(twb_fock(0.6, 30), 0.4, 0.7)
+        assert rows.dtype == np.float64
+        np.testing.assert_allclose(moments_fock(rows), moments_fock(rows.astype(complex)), rtol=0.0, atol=1e-15)
+
+    @staticmethod
+    def _random_rows(rng, shape, complex_rows, top=0.0):
+        """Rows of unit total weight, a share ``top`` of it in a last row on
+        the top three levels, where the truncated {a, a^dag} is p rather
+        than 2p + 1 at p = cutoff."""
+        rows = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_rows else 0.0)
+        rows /= np.sqrt(np.sum(np.abs(rows) ** 2, axis=(-2, -1), keepdims=True))
+        psi = np.zeros(shape[-1], dtype=rows.dtype)
+        psi[-3:] = rng.normal(size=min(shape[-1], 3)) + (1j * rng.normal(size=min(shape[-1], 3)) if complex_rows else 0.0)
+        psi = np.broadcast_to(psi / np.linalg.norm(psi), shape[:-2] + (1, shape[-1]))
+        return np.concatenate((math.sqrt(1.0 - top) * rows, math.sqrt(top) * psi), axis=-2)
 
     @settings(max_examples=80, deadline=None)
     @given(
         dim=st.integers(1, 40),
+        nodes=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         top=st.floats(0.0, 1.0),
-        skew=st.sampled_from([0.0, 1e-10]),
+        complex_rows=st.booleans(),
     )
-    def test_matches_dense_truncated_operators(self, dim, seed, top, skew):
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        mixed = g @ g.conj().T
-        # a pure state on the top three levels, where the truncated
-        # {a, a^dag} is p rather than 2p + 1 at p = cutoff
-        psi = np.zeros(dim, dtype=complex)
-        psi[-3:] = rng.normal(size=min(dim, 3)) + 1j * rng.normal(size=min(dim, 3))
-        rho = (1.0 - top) * mixed / np.trace(mixed).real + top * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        # a non-Hermitian part below the 1e-8 check, with no real trace
-        e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = rho + skew * 0.5 * (e - e.conj().T)
-        np.testing.assert_allclose(moments_fock(rho), _dense_moments(rho), rtol=0.0, atol=1e-12)
+    def test_matches_dense_truncated_operators(self, dim, nodes, seed, top, complex_rows):
+        rows = self._random_rows(np.random.default_rng(seed), (nodes, dim), complex_rows, top)
+        np.testing.assert_allclose(moments_fock(rows), _dense_moments(_rho(rows)), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+        dim=st.integers(1, 30),
+        nodes=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.floats(0.0, 1.0),
+        complex_rows=st.booleans(),
+    )
+    def test_stack_equals_per_record_calls(self, records, dim, nodes, seed, top, complex_rows):
+        shape = (*records, nodes, dim)
+        stack = self._random_rows(np.random.default_rng(seed), shape, complex_rows, top)
+        moments = moments_fock(stack)
+        assert all(np.shape(m) == tuple(records) for m in moments)
+        for k in np.ndindex(*records):
+            one = moments_fock(stack[k])
+            assert all(type(m) is float for m in one)
+            np.testing.assert_allclose([m[k] for m in moments], one, rtol=0.0, atol=1e-15)
 
     def test_cutoff_zero(self):
         # one level: x and y are the zero matrix
@@ -369,12 +404,13 @@ class TestMomentsFock:
     def test_cutoff_one(self):
         # two levels: <a> = rho[1, 0], a^2 = 0, {a, a^dag} = identity
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        rows = np.linalg.cholesky(rho).T  # rho = L L^dag = F^T conj(F) for F = L^T
         expected = (0.2, 0.1, 0.25 - 0.04, 0.25 - 0.01, -0.02, 0.36 + 0.16 + 2 * 0.05)
-        np.testing.assert_allclose(moments_fock(rho), expected, rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(moments_fock(rho), _dense_moments(rho), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(moments_fock(rows), expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(moments_fock(rows), _dense_moments(rho), rtol=0.0, atol=1e-15)
 
     def test_complex_pure_state_has_unit_purity(self):
         psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
-        m = moments_fock(np.outer(psi, psi.conj()))
+        m = moments_fock(psi[None, :])
         assert m.purity == pytest.approx(1.0, abs=1e-15)
         assert (m.mean_x, m.mean_y) == pytest.approx((0.0, 0.5), abs=1e-15)

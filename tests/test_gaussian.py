@@ -158,6 +158,12 @@ class TestConstructors:
         with pytest.raises(ValueError):
             twb(r)
 
+    @pytest.mark.parametrize("r", [355.4, np.array([0.5, 355.4, 400.0])])
+    def test_photon_number_overflow_names_r(self, r):
+        # sinh^2 r is finite at r = 355.4; doubling it is not
+        with pytest.raises(ValueError, match=r"^photon number overflows at r=355\.4$"):
+            photon_number(r)
+
     def test_photon_number_rejects_negative(self):
         with pytest.raises(ValueError):
             squeezing_from_photon_number(-1.0)

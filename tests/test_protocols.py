@@ -256,6 +256,25 @@ class TestEtaThreshold:
         assert thr != IMPOSSIBLE
         assert 0.5 <= thr <= 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(0.0, 20.0), gamma_t=st.floats(0.0, 50.0), as_array=st.booleans())
+    def test_vacuum_bath_is_never_impossible(self, r, gamma_t, as_array):
+        # no epsilon: at M = 0 the exact test's bath side is 0
+        args = (np.array([r]), np.array([gamma_t]), np.array([0.0])) if as_array else (r, gamma_t, 0.0)
+        assert IMPOSSIBLE not in np.ravel(eta_threshold(*args))
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("r, gamma_t", [(0.05, 1.0), (0.3, 0.2), (1.5, 0.05)])
+    def test_bath_just_past_the_boundary_is_impossible(self, r, gamma_t, as_array):
+        # M with a - 1 = +-1e-9, a = e^{-gamma_t - 2r} + (2M + 1)(1 - e^{-gamma_t})
+        t = math.exp(-gamma_t)
+        for delta, impossible in ((1e-9, True), (-1e-9, False)):
+            m = (t * -math.expm1(-2.0 * r) + delta) / (2.0 * -math.expm1(-gamma_t))
+            a = effective_kappa_contribution(r, LossChannel(gamma_t, m))
+            assert a - 1.0 == pytest.approx(delta, rel=1e-3)
+            args = (np.array([r]), np.array([gamma_t]), np.array([m])) if as_array else (r, gamma_t, m)
+            assert (IMPOSSIBLE in np.ravel(eta_threshold(*args))) == impossible
+
     @pytest.mark.parametrize(
         "r, gamma_t, m",
         [(LN2, 0.0, 0.0), (LN2, 0.2, 0.3), (1.0, 0.5, 0.2), (2.0, 0.1, 1.0)],
@@ -371,6 +390,7 @@ class TestOverflow:
         [
             (300.0, "the closed forms overflow at r=300.0, x=0.0"),  # N (N + 2) = inf; inf * 0
             (400.0, "photon number overflows at r=400.0"),
+            (355.4, "photon number overflows at r=355.4"),  # sinh^2 r is finite, 2 sinh^2 r is not
         ],
     )
     def test_remote_prep_overflow_names_the_point(self, r, message, as_array):
