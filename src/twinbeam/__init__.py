@@ -1,7 +1,7 @@
 """Twin-beam remote state preparation and teleportation in Gaussian phase space.
 
 The package keeps every protocol computation in closed Gaussian form
-(states are mean vectors plus covariance matrices) and ships an
+(states are mean vectors plus covariance factors) and ships an
 independent truncated number-basis oracle so the two routes can be
 cross-validated to tight tolerances.
 """

@@ -50,9 +50,11 @@ def evolve(state: GaussianOperator, channel: LossChannel) -> GaussianOperator:
     the bath variance.  The fixed point is the thermal state of the bath.
     """
     require_physical(state)
-    require_all(np.ndim(channel.added_variance) == 0, "evolve takes one channel, not a grid")
+    added = channel.added_variance
+    require_all(np.ndim(added) == 0, "evolve takes one channel, not a grid")
+    require_all(added < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
     eye = np.eye(2 * state.n_modes)
-    return gaussian_map(state, math.sqrt(channel.transmission) * eye, channel.added_variance * eye)
+    return gaussian_map(state, math.sqrt(channel.transmission) * eye, math.sqrt(added) * eye)
 
 
 def effective_kappa_contribution(r: float, channel: LossChannel) -> float:

@@ -6,12 +6,13 @@ Conventions used throughout the package:
   has variance 1/4 per quadrature and a pure coherent state's Wigner
   function peaks at 2/pi;
 * phase-space coordinates are ordered (x1, y1, x2, y2, ...);
-* every Gaussian object carries an explicit scalar ``weight`` so that
-  unnormalized operators (measurement elements, unconditioned outcomes)
-  live in the same representation as density operators, whose Wigner
-  function is ``weight`` times a normalized multivariate normal;
+* a state is its mean and the lower-triangular Cholesky factor L of its
+  covariance, cov = L L^T (the square-root filter form: Kaminski, Bryson
+  and Schmidt, IEEE TAC 16, 727 (1971)); ``cov`` is a read-only view.
+  Entries ~e^{r} hold variances e^{-2r}/4 that a covariance of entries
+  ~e^{2r} would round away;
 * a ``mean`` of shape (..., 2n) is a family of states sharing one
-  covariance and weight.  ``displace``, ``overlap`` and ``wigner_eval``
+  factor.  ``displace``, ``overlap`` and ``wigner_eval``
   broadcast over its leading axes and over arrays of amplitudes or points;
   a 1-D mean (empty leading shape) gives plain floats.  Single-state
   operations such as ``decompose_single_mode`` reject a family;
@@ -19,22 +20,26 @@ Conventions used throughout the package:
   :func:`add_points`), so a million states stream as one flat array
   rather than a million loops over a trailing axis of length 2;
 * every covariance change is one Gaussian map (X, Y), cov -> X cov X^T + Y
-  (:func:`gaussian_map`): a symplectic X for ``squeeze`` and ``rotate``,
-  diag(1, -1, ...) for ``transpose_wigner``, multiples of I for loss and noise.
+  (:func:`gaussian_map`), L -> [X L, sqrt(Y)] re-triangularized: a
+  symplectic X for ``squeeze`` and ``rotate``, diag(1, -1, ...) for
+  ``transpose_wigner``, multiples of I for loss and noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 VACUUM_VARIANCE = 0.25
 
-# Slack allowed on the uncertainty bound when certifying physicality.
+# Slack allowed on the uncertainty bound when certifying physicality:
+# PHYSICALITY_TOL, plus PHYSICALITY_ROUNDING * eps * ||L||_F^2 for the
+# rounding of a factor L (||L||_F^2 = tr cov; cosh(2r) for a twin beam).
 PHYSICALITY_TOL = 1e-9
+PHYSICALITY_ROUNDING = 8.0
 
 _COV_SYMMETRY_RTOL = 1e-12
 
@@ -54,25 +59,27 @@ def as_finite_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianOperator:
-    """Gaussian-Wigner operator: weight times a normal density.
+    """Gaussian-Wigner operator: a normal density in phase space.
+
+    ``GaussianOperator(mean, cov)`` validates a user's covariance once and
+    keeps its Cholesky factor; operations build their results from factors
+    with :func:`from_factor`, unchecked.
 
     Attributes:
         mean: quadrature means of shape (..., 2n), ordered (x1, y1, ...,
             xn, yn); leading axes index a family of states.
-        cov: 2n x 2n symmetric positive-definite covariance matrix,
-            shared by every member of the family.
-        weight: positive scalar prefactor; 1 for a normalized state.
+        factor: the 2n x 2n lower-triangular L with a positive diagonal and
+            cov = L L^T, shared by every member of the family.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
-    weight: float = 1.0
+    factor: np.ndarray
 
-    def __post_init__(self):
-        mean = as_finite_array(self.mean, "mean")
-        cov = as_finite_array(self.cov, "cov")
+    def __init__(self, mean, cov):
+        mean = as_finite_array(mean, "mean")
+        cov = as_finite_array(cov, "cov")
         if mean.ndim == 0 or mean.shape[-1] == 0 or mean.shape[-1] % 2 != 0:
             raise ValueError("mean must have a last axis of even length")
         if cov.shape != mean.shape[-1:] * 2:
@@ -80,46 +87,51 @@ class GaussianOperator:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if np.max(np.abs(cov - cov.T)) > _COV_SYMMETRY_RTOL * scale:
             raise ValueError("cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
         try:
-            np.linalg.cholesky(cov)
+            factor = np.linalg.cholesky(0.5 * (cov + cov.T))
         except np.linalg.LinAlgError:
             raise ValueError("cov must be positive definite") from None
-        weight = float(self.weight)
-        if not math.isfinite(weight) or weight <= 0.0:
-            raise ValueError("weight must be a positive finite scalar")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "weight", weight)
+        self.__dict__.update(from_factor(mean, factor).__dict__)
 
     @property
     def n_modes(self) -> int:
         return self.mean.shape[-1] // 2
 
-    def with_mean(self, mean: np.ndarray) -> GaussianOperator:
-        """This operator's covariance and weight about ``mean``, a point or a
-        family of shape (..., 2n) freshly computed from it.
+    @cached_property
+    def cov(self) -> np.ndarray:
+        """The covariance L L^T, a read-only view computed on first use."""
+        cov = self.factor @ self.factor.T
+        cov.setflags(write=False)
+        return cov
 
-        The covariance was validated when this operator was built, so only
-        the mean's shape and finiteness are checked.  ``mean`` is taken
-        over, not copied: it becomes read-only.
-        """
-        mean = np.asarray(mean, dtype=float)
-        if mean.shape[-1:] != self.mean.shape[-1:]:
+    def with_mean(self, mean: np.ndarray) -> GaussianOperator:
+        """This operator's factor and any computed spectrum about ``mean``, a
+        point or a family of shape (..., 2n) freshly computed, taken over."""
+        if np.shape(mean)[-1:] != self.mean.shape[-1:]:
             raise ValueError("mean must match the operator's phase-space dimension")
-        if not np.isfinite(mean).all():
-            raise ValueError("mean must be finite")
-        mean.setflags(write=False)
-        op = object.__new__(GaussianOperator)
-        op.__dict__.update(self.__dict__, mean=mean)  # with any cached spectrum
+        op = from_factor(mean, self.factor)
+        if "min_symplectic_eigenvalue" in self.__dict__:
+            op.__dict__["min_symplectic_eigenvalue"] = self.min_symplectic_eigenvalue
         return op
 
     @cached_property
     def min_symplectic_eigenvalue(self) -> float:
         """Least symplectic eigenvalue of ``cov``, computed once per operator."""
-        return float(symplectic_eigenvalues(self.cov)[0])
+        return float(symplectic_eigenvalues(self)[0])
+
+
+def from_factor(mean, factor: np.ndarray) -> GaussianOperator:
+    """The operator about ``mean`` with the lower-triangular ``factor``,
+    computed from validated operators' factors: only the mean is checked,
+    for finiteness.  Both arrays are taken over and become read-only."""
+    mean = np.asarray(mean, dtype=float)
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    mean.setflags(write=False)
+    factor.setflags(write=False)
+    op = object.__new__(GaussianOperator)
+    op.__dict__.update(mean=mean, factor=factor)
+    return op
 
 
 @dataclass(frozen=True)
@@ -156,38 +168,57 @@ def _embed_single_mode(matrix: np.ndarray, mode: int, n_modes: int) -> np.ndarra
     return full
 
 
-def gaussian_map(op: GaussianOperator, x: np.ndarray, y=0.0) -> GaussianOperator:
-    """The Gaussian map (X, Y): mean -> X mean, cov -> X cov X^T + Y, weight
-    kept; a family's means map together.  The constructor validates the result."""
-    return GaussianOperator(mean=op.mean @ x.T, cov=x @ op.cov @ x.T + y, weight=op.weight)
+def lower_factor(pre_array: np.ndarray) -> np.ndarray:
+    """The lower-triangular L with a nonnegative diagonal and L L^T = A A^T
+    for a d x k pre-array A, k >= d: R^T of A^T = QR, signs made positive."""
+    d = len(pre_array)
+    # 'raw' returns R's transpose in the lower triangle of h, with no triu pass
+    h = np.linalg.qr(pre_array.T, mode="raw")[0][:, :d]
+    return h * np.copysign(np.tri(d), h.diagonal())
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix, sorted ascending.
+def gaussian_map(op: GaussianOperator, x: np.ndarray, noise=None) -> GaussianOperator:
+    """The Gaussian map (X, Y): mean -> X mean, cov -> X cov X^T + Y, for
+    Y = N N^T given by a factor N of 2n rows (None for Y = 0); a family's
+    means map together.  The factor L goes to [X L, N], re-triangularized."""
+    pre_array = x @ op.factor if noise is None else np.hstack([x @ op.factor, noise])
+    return from_factor(op.mean @ x.T, lower_factor(pre_array))
+
+
+def symplectic_eigenvalues(op: GaussianOperator) -> np.ndarray:
+    """Symplectic spectrum of ``op``'s covariance, sorted ascending.
 
     A covariance matrix describes a physical state iff every symplectic
-    eigenvalue is at least the vacuum variance 1/4.
+    eigenvalue is at least the vacuum variance 1/4.  The Hermitian
+    i L^T Omega L has the spectrum with both signs, ascending.
     """
-    cov = np.asarray(cov, dtype=float)
+    if not isinstance(op, GaussianOperator):
+        raise TypeError("symplectic_eigenvalues takes the state, not its covariance")
     # the symplectic form of the (x1, y1, ...) ordering: [[0, 1], [-1, 0]] on each mode
-    upper = np.diag(np.tile([1.0, 0.0], len(cov) // 2)[:-1], 1)
-    eigs = np.linalg.eigvals(1j * (upper - upper.T) @ cov)
-    # eigenvalues of i*Omega*cov come in +/- pairs; keep one of each
-    return np.sort(np.abs(eigs))[::2]
+    omega = np.kron(np.eye(op.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    return np.linalg.eigvalsh(1j * (op.factor.T @ omega @ op.factor))[op.n_modes :]
+
+
+def physicality_tolerance(op: GaussianOperator) -> float:
+    """Slack allowed below the vacuum bound for ``op``: PHYSICALITY_TOL
+    plus the rounding of its factor, PHYSICALITY_ROUNDING * eps * ||L||_F^2."""
+    rounding = PHYSICALITY_ROUNDING * np.finfo(float).eps * np.vdot(op.factor, op.factor)
+    return PHYSICALITY_TOL + float(rounding)
 
 
 def is_physical(op: GaussianOperator) -> bool:
     """True when the covariance satisfies the uncertainty bound."""
-    return op.min_symplectic_eigenvalue >= VACUUM_VARIANCE - PHYSICALITY_TOL
+    return op.min_symplectic_eigenvalue >= VACUUM_VARIANCE - physicality_tolerance(op)
 
 
 def require_physical(op: GaussianOperator, what: str = "state") -> None:
     nu_min = op.min_symplectic_eigenvalue
-    if nu_min < VACUUM_VARIANCE - PHYSICALITY_TOL:
+    tol = physicality_tolerance(op)
+    if nu_min < VACUUM_VARIANCE - tol:
         raise UnphysicalStateError(
             f"{what} violates the uncertainty bound: min symplectic eigenvalue "
             f"{float(nu_min)!r} is {VACUUM_VARIANCE - nu_min:.3g} below {VACUUM_VARIANCE}, "
-            f"beyond the tolerance {PHYSICALITY_TOL:g}"
+            f"beyond the tolerance {tol!r}"
         )
 
 
@@ -247,35 +278,43 @@ def add_points(a, b, op=np.add) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def normal_density(delta, cov: np.ndarray):
-    """Normal density N(delta; 0, cov) over the leading axes of ``delta``.
+def normal_density(delta, factor: np.ndarray):
+    """Normal density N(delta; 0, L L^T) over the leading axes of ``delta``
+    for a lower-triangular d x d ``factor`` L with a positive diagonal.
 
-    ``delta`` has shape (..., d) for a d x d ``cov``; a 1-D ``delta``
-    gives a float.  A quadratic form that overflows gives 0.0, unwarned.
+    A 1-D ``delta`` gives a float.  A quadratic form that overflows gives
+    0.0, unwarned.  L^-1 delta comes by forward substitution: one point's
+    coordinates as floats, a family's as flat columns updated in place, by
+    the same IEEE operations in the same order, so a family's densities are
+    its members' bit for bit.
     """
-    w = delta @ np.linalg.inv(cov)
-    w *= delta
-    norm = math.sqrt((2.0 * math.pi) ** len(cov) * np.linalg.det(cov))
-    if w.ndim == 1:
-        dens = float(np.exp(-0.5 * w.sum()) / norm)
+    rows = factor.tolist()
+    point = delta.ndim == 1
+    w = delta.tolist() if point else [delta[..., i].copy() for i in range(len(rows))]
+    for i, row in enumerate(rows):
+        for j in range(i):
+            w[i] -= row[j] * w[j]
+        w[i] /= row[i]
+    for i in range(len(w)):
+        w[i] *= w[i]
+    form = w[0]
+    for square in w[1:]:
+        form += square
+    form *= -0.5
+    # sqrt((2 pi)^d det(L L^T)), the determinant the product of diag(L)^2
+    norm = math.sqrt(2.0 * math.pi) ** len(rows) * math.prod(factor.diagonal().tolist())
+    if point:
+        dens = float(np.exp(form)) / norm
         return dens if dens == dens else 0.0
-    # a family's quadratic forms: the columns summed in the order of one
-    # point's sum, one flat pass each rather than a reduction over a short
-    # trailing axis; then exp in place
-    dens = reduce(np.add, np.moveaxis(w, -1, 0))
-    dens *= -0.5
-    np.exp(dens, out=dens)
-    dens /= norm
-    return np.fmax(dens, 0.0, out=dens)  # NaN -> 0.0
+    np.exp(form, out=form)
+    form /= norm
+    return np.fmax(form, 0.0, out=form)  # NaN -> 0.0
 
 
 def vacuum(n_modes: int = 1) -> GaussianOperator:
     """Vacuum state on ``n_modes`` modes."""
     n_modes = require_count(n_modes, "n_modes", minimum=1)
-    return GaussianOperator(
-        mean=np.zeros(2 * n_modes),
-        cov=VACUUM_VARIANCE * np.eye(2 * n_modes),
-    )
+    return from_factor(np.zeros(2 * n_modes), math.sqrt(VACUUM_VARIANCE) * np.eye(2 * n_modes))
 
 
 def coherent(alpha: complex) -> GaussianOperator:
@@ -288,29 +327,25 @@ def thermal(n_th: float) -> GaussianOperator:
     require_finite_nonnegative(n_th, "n_th")
     width = (2.0 * n_th + 1.0) * VACUUM_VARIANCE
     require_all(width < math.inf, f"thermal covariance overflows at n_th={n_th}")
-    return GaussianOperator(mean=np.zeros(2), cov=width * np.eye(2))
+    return from_factor(np.zeros(2), math.sqrt(width) * np.eye(2))
 
 
 def twb(r: float) -> GaussianOperator:
     """Twin-beam (two-mode squeezed vacuum) state with squeezing ``r >= 0``.
 
     The sum quadrature (x1 + x2)/sqrt(2) and difference (y1 - y2)/sqrt(2)
-    have variance e^{2r}/4; the conjugate combinations have e^{-2r}/4.
+    have variance e^{2r}/4; the conjugate combinations have e^{-2r}/4.  The
+    Cholesky factor's closed form has no cancellation, so these survive at any r.
     """
     require_finite_nonnegative(r, "r")
     try:
-        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        c = math.sqrt(math.cosh(2.0 * r))
     except OverflowError:
         raise ValueError(f"twin-beam covariance overflows at r={r}") from None
-    cov = VACUUM_VARIANCE * np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    return GaussianOperator(mean=np.zeros(4), cov=cov)
+    factor = np.diag([0.5 * c, 0.5 * c, 0.5 / c, 0.5 / c])
+    cross = 0.5 * math.tanh(2.0 * r) * c
+    factor[2, 0], factor[3, 1] = cross, -cross
+    return from_factor(np.zeros(4), factor)
 
 
 def photon_number(r: float) -> float:
@@ -357,6 +392,7 @@ def squeeze(op: GaussianOperator, mode: int, r: float, phase: float = 0.0) -> Ga
     require_all(math.isfinite(r), f"squeezing r must be finite; got r={r}")
     rot = _rotation_matrix(phase, "phase")
     try:
+        math.exp(2.0 * abs(r))  # the squeezed variance's scale must be finite
         core = np.diag([math.exp(-r), math.exp(r)])
         s = _embed_single_mode(rot @ core @ rot.T, mode, op.n_modes)
         with np.errstate(over="raise"):
@@ -376,7 +412,7 @@ def wigner_eval(op: GaussianOperator, point):
     point = as_finite_array(point, "point")
     if point.shape[-1:] != op.mean.shape[-1:]:
         raise ValueError("point must match the operator's phase-space dimension")
-    return op.weight * normal_density(add_points(point, op.mean, np.subtract), op.cov)
+    return normal_density(add_points(point, op.mean, np.subtract), op.factor)
 
 
 def overlap(a: GaussianOperator, b: GaussianOperator):
@@ -389,7 +425,8 @@ def overlap(a: GaussianOperator, b: GaussianOperator):
     if a.n_modes != b.n_modes:
         raise ValueError("operators must act on the same number of modes")
     delta = add_points(a.mean, b.mean, np.subtract)
-    return a.weight * b.weight * math.pi**a.n_modes * normal_density(delta, a.cov + b.cov)
+    factor = lower_factor(np.hstack([a.factor, b.factor]))  # of a.cov + b.cov
+    return math.pi**a.n_modes * normal_density(delta, factor)
 
 
 def transpose_wigner(op: GaussianOperator) -> GaussianOperator:
@@ -407,15 +444,15 @@ def decompose_single_mode(op: GaussianOperator) -> SqueezedThermalDecomposition:
         raise ValueError("decomposition requires a single-mode operator")
     require_single(op, "decomposition")
     require_physical(op)
-    eigvals, eigvecs = np.linalg.eigh(op.cov)
-    lam_min, lam_max = float(eigvals[0]), float(eigvals[1])
-    nu = math.sqrt(lam_min * lam_max)
-    n_th = max(0.0, 2.0 * nu - 0.5)
-    r = 0.25 * math.log(lam_max / lam_min)
+    # cov = L L^T has eigenvalues s^2 and eigenvectors u for L = u diag(s) v^T
+    u, s, _ = np.linalg.svd(op.factor)
+    s_max, s_min = float(s[0]), float(s[1])
+    n_th = max(0.0, 2.0 * s_min * s_max - 0.5)
+    r = 0.5 * math.log(s_max / s_min)
     if r < 1e-15:
         phase = 0.0
     else:
-        v = eigvecs[:, 0]
+        v = u[:, 1]
         phase = math.atan2(v[1], v[0]) % math.pi
     return SqueezedThermalDecomposition(
         displacement=complex(op.mean[0], op.mean[1]),

@@ -3,7 +3,11 @@
 Both detectors are one conditional Gaussian measurement, ``_update``: the
 Kalman measurement update (Kalman 1960; Serafini, *Quantum Continuous
 Variables*, ch. 5) for a record y = C z + v of the measured mode's
-quadratures z, with noise v ~ N(0, R).  Homodyne at angle phi has
+quadratures z, with noise v ~ N(0, R), in square-root form (Kaminski,
+Bryson and Schmidt, IEEE TAC 16, 727 (1971); Bierman, *Factorization
+Methods for Discrete Sequential Estimation*, 1977): one QR of the state's
+covariance factor gives the record covariance's factor, the gain and the
+conditional factor, with no covariance formed.  Homodyne at angle phi has
 C = (cos phi, sin phi) and R = (1 - eta) / (4 eta), an inefficient
 detector's equivalent noise; double homodyne has C = I_2 and
 R = ref_t.cov + (delta^2 / 2) I_2, the transposed reference broadened by
@@ -28,6 +32,8 @@ from .gaussian import (
     GaussianOperator,
     add_points,
     as_finite_array,
+    from_factor,
+    lower_factor,
     normal_density,
     require_all,
     require_count,
@@ -78,7 +84,8 @@ class HomodyneSetting:
 
     @cached_property
     def _model(self):
-        return self.mode, [[math.cos(self.phase), math.sin(self.phase)]], (self.noise_variance,)
+        block = np.array([[math.cos(self.phase), math.sin(self.phase)]])
+        return self.mode, block, np.array([[math.sqrt(self.noise_variance)]])
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,8 @@ class DoubleHomodyneSetting:
 
     @cached_property
     def _model(self):
-        return 0, np.eye(2), (self.transposed_reference.cov, 0.5 * self.delta_sq * np.eye(2))
+        excess = math.sqrt(0.5 * self.delta_sq) * np.eye(2)
+        return 0, np.eye(2), np.hstack([self.transposed_reference.factor, excess])
 
 
 @dataclass(frozen=True)
@@ -130,26 +138,29 @@ class ConditionalOutcome:
 
 
 def _update(state: GaussianOperator, setting):
-    """Kalman update of ``state`` for the record y = C z + v of ``setting``,
-    whose ``_model`` is (mode, C on that mode, v's independent noise
-    covariances R_i).  Returns C z, the kept modes' mean, their gain
-    K = P_kz C^T S^-1, S = C P C^T + sum R_i and their covariance given y."""
+    """Square-root Kalman update of ``state`` for the record y = C z + v of
+    ``setting``, whose ``_model`` is (mode, C on that mode, a factor of v's
+    covariance R).  With L's rows split into the measured L_z and the kept
+    L_k, one QR triangularizes [[sqrt(R), C L_z], [0, L_k]] to
+    [[S^1/2, 0], [G, L_k']]: S = C L L^T C^T + R is the record covariance,
+    K = G S^-1/2 the gain and L_k' the kept modes' factor given y.  Returns
+    C z, the kept modes' mean, K, S^1/2 and L_k'."""
     require_physical(state)
-    mode, block, noises = setting._model
+    mode, block, noise = setting._model
     if mode >= state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    # C spans every quadrature, zero off the measured mode: seeded draws are
-    # pinned to the last-bit rounding of full-width products, not 2 x 2 ones
-    C = np.zeros((len(block), len(state.cov)))
-    C[:, 2 * mode : 2 * mode + 2] = block
-    s = sum(noises, C @ state.cov @ C.T)
+    factor, measured = state.factor, slice(2 * mode, 2 * mode + 2)
     # a view when the first mode is measured, as both protocols do
-    kept = slice(2, None) if mode == 0 else np.r_[: 2 * mode, 2 * mode + 2 : len(state.cov)]
-    cross = (state.cov @ C.T)[kept]
-    # a 1 x 1 S divides: a solve would round the homodyne gain differently
-    gain = cross / s if len(s) == 1 else np.linalg.solve(s, cross.T).T
-    cov = state.cov[kept][:, kept] - gain @ cross.T
-    return state.mean @ C.T, state.mean[..., kept], gain, s, 0.5 * (cov + cov.T)
+    kept = slice(2, None) if mode == 0 else np.r_[: 2 * mode, 2 * mode + 2 : len(factor)]
+    m, k = noise.shape
+    pre = np.zeros((len(factor) - 2 + m, len(factor) + k))
+    pre[:m, :k] = noise
+    pre[:m, k:] = block @ factor[measured]
+    pre[m:, k:] = factor[kept]
+    post = lower_factor(pre)
+    s_factor = post[:m, :m]
+    gain = np.linalg.solve(s_factor.T, post[m:, :m].T).T
+    return state.mean[..., measured] @ block.T, state.mean[..., kept], gain, s_factor, post[m:, m:]
 
 
 def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
@@ -158,8 +169,8 @@ def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
     out that its squared distance overflows."""
     x = as_finite_array(x, "x")  # 0-d for one record
     require_single(state, "homodyne")
-    record_mean, _, _, s, _ = _update(state, setting)
-    return state.weight * normal_density(x[..., None] - record_mean, s)
+    record_mean, _, _, s_factor, _ = _update(state, setting)
+    return normal_density(x[..., None] - record_mean, s_factor)
 
 
 def condition_homodyne(
@@ -174,13 +185,13 @@ def condition_homodyne(
     """
     outcome = as_finite_array(outcome, "x")
     require_single(state, "homodyne conditioning")
-    record_mean, mean, gain, s, cov = _update(state, setting)
+    record_mean, mean, gain, s_factor, factor = _update(state, setting)
     if state.n_modes < 2:
         raise ValueError("conditioning requires at least two modes")
     shift = outcome[..., None] - record_mean  # records along the leading axes
     return ConditionalOutcome(
-        state=GaussianOperator(mean=mean + shift @ gain.T, cov=cov),
-        _density=lambda: state.weight * normal_density(shift, s),
+        state=from_factor(mean + shift @ gain.T, factor),
+        _density=lambda: normal_density(shift, s_factor),
     )
 
 
@@ -199,8 +210,8 @@ def sample_homodyne(
     """
     size = None if n_samples is None else require_count(n_samples, "n_samples")
     require_single(state, "homodyne sampling")
-    record_mean, _, _, s, _ = _update(state, setting)
-    draws = as_generator(seed).normal(record_mean[0], math.sqrt(s[0, 0]), size=size)
+    record_mean, _, _, s_factor, _ = _update(state, setting)
+    draws = as_generator(seed).normal(record_mean[0], s_factor[0, 0], size=size)
     return float(draws) if n_samples is None else draws
 
 
@@ -214,17 +225,16 @@ def double_homodyne_condition(
     An array of records, or a family of states, broadcasts: one density
     and one conditional state per record, all sharing one covariance.
     """
-    record_mean, mean, gain, s, cov = _update(state, setting)
+    record_mean, mean, gain, s_factor, factor = _update(state, setting)
     if state.n_modes != 2:
         raise ValueError("double homodyne conditioning expects a two-mode state")
     # the POVM element is centred on the transposed reference displaced by
     # alpha, i.e. shifted by the point (Re alpha, -Im alpha)
     offset = add_points(setting.transposed_reference.mean, record_mean, np.subtract)
     shift = add_points(np.asarray(alpha, dtype=complex)[..., None].conj().view(float), offset)
-    mean = add_points(mean, shift @ gain.T)
     return ConditionalOutcome(
-        state=GaussianOperator(mean=np.zeros(2), cov=cov).with_mean(mean),
-        _density=lambda: state.weight * normal_density(shift, s),
+        state=from_factor(add_points(mean, shift @ gain.T), factor),
+        _density=lambda: normal_density(shift, s_factor),
     )
 
 
@@ -238,10 +248,10 @@ def sample_double_homodyne(
     :func:`sample_homodyne`."""
     require_single(state, "double homodyne sampling")
     size = 1 if n_samples is None else require_count(n_samples, "n_samples")
-    record_mean, _, _, s, _ = _update(state, setting)
+    record_mean, _, _, s_factor, _ = _update(state, setting)
     if state.n_modes != 2:
         raise ValueError("double homodyne conditioning expects a two-mode state")
-    draws = as_generator(seed).standard_normal((size, 2)) @ np.linalg.cholesky(s).T
+    draws = as_generator(seed).standard_normal((size, 2)) @ s_factor.T
     # the observed point record_mean + draws is the POVM centre
     # ref_t.mean + (x, -y); the record x + iy is its conjugated offset
     alpha = draws.view(complex)[:, 0]

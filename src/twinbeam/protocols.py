@@ -160,7 +160,7 @@ def teleport_gaussian(state: GaussianOperator, config: TeleportConfig) -> Gaussi
     if state.n_modes != 1:
         raise ValueError("teleportation acts on a single-mode input")
     config.require_single("teleport_gaussian")
-    return gaussian_map(state, np.eye(2), 0.5 * config.kappa_sq * np.eye(2))
+    return gaussian_map(state, np.eye(2), math.sqrt(0.5 * config.kappa_sq) * np.eye(2))
 
 
 def fidelity_coherent(config: TeleportConfig) -> float:

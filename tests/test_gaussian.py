@@ -49,7 +49,6 @@ class TestGaussianOperator:
         assert v.n_modes == 2
         np.testing.assert_allclose(v.cov, 0.25 * np.eye(4))
         np.testing.assert_allclose(v.mean, 0.0)
-        assert v.weight == 1.0
 
     @pytest.mark.parametrize(
         "mean, cov",
@@ -64,11 +63,6 @@ class TestGaussianOperator:
     def test_rejects_bad_arrays(self, mean, cov):
         with pytest.raises(ValueError):
             GaussianOperator(mean=np.array(mean, dtype=float), cov=np.array(cov, dtype=float))
-
-    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf])
-    def test_rejects_bad_weight(self, weight):
-        with pytest.raises(ValueError):
-            GaussianOperator(mean=np.zeros(2), cov=0.25 * np.eye(2), weight=weight)
 
     def test_arrays_immutable(self):
         v = vacuum(1)
@@ -88,11 +82,12 @@ class TestGaussianOperator:
 
 
     def test_with_mean_shares_covariance_and_weight(self):
-        state = GaussianOperator(mean=np.zeros(4), cov=twb(0.6).cov, weight=0.5)
+        state = GaussianOperator(mean=np.zeros(4), cov=twb(0.6).cov)
         require_physical(state)
         mean = np.ones((3, 4))
         family = state.with_mean(mean)
-        assert family.mean is mean and family.cov is state.cov and family.weight == 0.5
+        assert family.mean is mean and family.factor is state.factor
+        np.testing.assert_array_equal(family.cov, state.cov)
         assert family.min_symplectic_eigenvalue == state.min_symplectic_eigenvalue
         with pytest.raises(ValueError):
             family.mean[0, 0] = 2.0  # taken over read-only
@@ -274,28 +269,42 @@ class TestOverlap:
         with pytest.raises(ValueError):
             overlap(vacuum(1), vacuum(2))
 
-    def test_weight_scales_overlap(self):
-        v = vacuum(1)
-        scaled = GaussianOperator(mean=v.mean, cov=v.cov, weight=3.0)
-        assert overlap(scaled, v) == pytest.approx(3.0, rel=1e-14)
-
     def test_far_apart_states_have_zero_overlap(self):
         # the squared distance overflows: 0.0, no RuntimeWarning
         assert overlap(coherent(1e160), coherent(0)) == 0.0
 
 
 class TestNormalDensity:
-    # inv(cov) = [[4, -3], [-3, 4]]: at (1e308, 1e308) both terms of
-    # delta @ inv overflow, with opposite signs, so the form sums to NaN
-    COV = np.array([[4.0, 3.0], [3.0, 4.0]]) / 7.0
+    # the Cholesky factor of [[4, 3], [3, 4]] / 7: at (1e308, 1e308) the
+    # whitened point is finite and its squares overflow
+    FACTOR = np.linalg.cholesky(np.array([[4.0, 3.0], [3.0, 4.0]]) / 7.0)
 
     def test_overflowing_form_gives_zero(self):
-        assert gaussian.normal_density(np.array([1e308, 1e308]), self.COV) == 0.0
-        assert gaussian.normal_density(np.array([1e200, 0.0]), self.COV) == 0.0
+        assert gaussian.normal_density(np.array([1e308, 1e308]), self.FACTOR) == 0.0
+        assert gaussian.normal_density(np.array([1e200, 0.0]), self.FACTOR) == 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_family_equals_each_members_own_call(self, entries, seed):
+        # bit for bit: a family's Wigner values and overlaps, member by member
+        a = np.reshape(entries, (4, 4))
+        cov = a @ a.T + 0.25 * np.eye(4)
+        rng = np.random.Generator(np.random.Philox(seed))
+        means = rng.normal(size=(1000, 4))
+        point, other = rng.normal(size=4), displace(twb(0.4), 1, 0.3 - 0.2j)
+        family = GaussianOperator(mean=means, cov=cov)
+        values, overlaps = wigner_eval(family, point), overlap(family, other)
+        for k, mean in enumerate(means):
+            member = GaussianOperator(mean=mean, cov=cov)
+            assert float.hex(values[k]) == float.hex(wigner_eval(member, point))
+            assert float.hex(overlaps[k]) == float.hex(overlap(member, other))
 
     def test_overflowing_family_members_give_zero(self):
         delta = np.array([[1e308, 1e308], [0.0, 0.0], [-1e200, 3.0]])
-        dens = gaussian.normal_density(delta, self.COV)
+        dens = gaussian.normal_density(delta, self.FACTOR)
         assert dens[0] == dens[2] == 0.0
         assert dens[1] == pytest.approx(1.0 / (2.0 * math.pi * math.sqrt(1.0 / 7.0)), rel=1e-14)
 
@@ -383,11 +392,12 @@ class TestModeOps:
 
 
 def _random_map(data, kind: str):
-    """A random two-mode (X, Y): a symplectic X (a squeeze, then a beam
-    splitter) with Y = 0, or thermal loss X = sqrt(T) I, Y = (2M+1)(1-T)/4 I."""
+    """A random two-mode (X, N) with noise Y = N N^T: a symplectic X (a
+    squeeze, then a beam splitter) with Y = 0, or thermal loss X = sqrt(T) I,
+    Y = (2M+1)(1-T)/4 I."""
     if kind == "loss":
         t, m = data.draw(st.floats(0.0, 1.0)), data.draw(st.floats(0.0, 3.0))
-        return math.sqrt(t) * np.eye(4), 0.25 * (2.0 * m + 1.0) * (1.0 - t) * np.eye(4)
+        return math.sqrt(t) * np.eye(4), math.sqrt(0.25 * (2.0 * m + 1.0) * (1.0 - t)) * np.eye(4)
     r = data.draw(st.floats(-1.0, 1.0))
     phase, theta = data.draw(st.floats(0.0, math.pi)), data.draw(st.floats(0.0, math.pi))
     c, s = math.cos(phase), math.sin(phase)
@@ -408,12 +418,12 @@ class TestGaussianMap:
         kinds=st.tuples(*[st.sampled_from(["symplectic", "loss"])] * 2),
     )
     def test_maps_compose(self, data, r, squeezing, alphas, kinds):
-        # map(map(op, X1, Y1), X2, Y2) = map(op, X2 X1, X2 Y1 X2^T + Y2)
+        # map(map(op, X1, Y1), X2, Y2) = map(op, X2 X1, X2 Y1 X2^T + Y2),
+        # whose noise factor is [X2 N1, N2]
         state = displace(squeeze(twb(r), 0, squeezing, 0.3), 1, np.array(alphas))
-        (x1, y1), (x2, y2) = (_random_map(data, kind) for kind in kinds)
-        two = gaussian.gaussian_map(gaussian.gaussian_map(state, x1, y1), x2, y2)
-        one = gaussian.gaussian_map(state, x2 @ x1, x2 @ y1 @ x2.T + y2)
-        assert two.weight == one.weight == state.weight
+        (x1, n1), (x2, n2) = (_random_map(data, kind) for kind in kinds)
+        two = gaussian.gaussian_map(gaussian.gaussian_map(state, x1, n1), x2, n2)
+        one = gaussian.gaussian_map(state, x2 @ x1, np.hstack([x2 @ n1, n2]))
         scale = np.abs(one.cov).max()
         np.testing.assert_allclose(two.cov, one.cov, rtol=1e-12, atol=1e-12 * scale)
         scale = max(1.0, np.abs(one.mean).max())
@@ -422,15 +432,21 @@ class TestGaussianMap:
 
 class TestSymplectic:
     def test_vacuum_and_twb_are_minimal(self):
-        np.testing.assert_allclose(symplectic_eigenvalues(vacuum(1).cov), [0.25], atol=1e-12)
+        np.testing.assert_allclose(symplectic_eigenvalues(vacuum(1)), [0.25], atol=1e-12)
         np.testing.assert_allclose(
-            symplectic_eigenvalues(twb(1.0).cov), [0.25, 0.25], atol=1e-12
+            symplectic_eigenvalues(twb(1.0)), [0.25, 0.25], atol=1e-12
         )
 
     def test_thermal_eigenvalue(self):
         np.testing.assert_allclose(
-            symplectic_eigenvalues(thermal(1.0).cov), [0.75], atol=1e-12
+            symplectic_eigenvalues(thermal(1.0)), [0.75], atol=1e-12
         )
+
+    def test_takes_the_state_not_its_covariance(self):
+        state = twb(1.0)
+        for arg in (state.cov, state.cov.tolist(), state.factor):
+            with pytest.raises(TypeError, match="takes the state, not its covariance"):
+                symplectic_eigenvalues(arg)
 
     def test_subvacuum_is_unphysical(self):
         bad = GaussianOperator(mean=np.zeros(2), cov=0.125 * np.eye(2))
@@ -439,7 +455,7 @@ class TestSymplectic:
             decompose_single_mode(bad)
 
     def test_error_states_eigenvalue_margin_and_tolerance(self):
-        # a shortfall that six significant digits of the eigenvalue would hide, as at twb(5.5)
+        # a shortfall that six significant digits of the eigenvalue would hide
         bad = GaussianOperator(mean=np.zeros(2), cov=(0.25 - 1.75e-8) * np.eye(2))
         nu = bad.min_symplectic_eigenvalue
         with pytest.raises(UnphysicalStateError) as info:
@@ -450,7 +466,28 @@ class TestSymplectic:
         stated_nu, shortfall, bound, tol = map(float, match.groups())
         assert stated_nu == nu
         assert shortfall == pytest.approx(0.25 - nu, rel=1e-2)
-        assert (bound, tol) == (gaussian.VACUUM_VARIANCE, gaussian.PHYSICALITY_TOL)
+        assert (bound, tol) == (gaussian.VACUUM_VARIANCE, gaussian.physicality_tolerance(bad))
+
+    @pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6])
+    @pytest.mark.parametrize("big", [0.5, 2.0**17])
+    def test_tolerance_edge(self, big, side):
+        # the documented tolerance, 1e-9 + 8 eps tr(cov), at unit scale and at
+        # twin-beam scale (tr cov = 2^34, twb(12) has cosh 24 = 1.3e10); the
+        # state diag(big^2, small^2) has symplectic eigenvalue big * small
+        trace = big * big + 0.25
+        tol = 1e-9 + 8.0 * 2.0**-52 * trace
+        small = (0.25 - side * tol) / big
+        state = GaussianOperator(mean=np.zeros(2), cov=np.diag([big * big, small * small]))
+        assert gaussian.physicality_tolerance(state) == pytest.approx(tol, rel=1e-9)
+        if side > 1.0:
+            assert not is_physical(state)
+            with pytest.raises(UnphysicalStateError) as info:
+                require_physical(state)
+            stated = float(re.search(r"beyond the tolerance (\S+)$", str(info.value)).group(1))
+            assert stated == gaussian.physicality_tolerance(state)
+        else:
+            assert is_physical(state)
+            require_physical(state)
 
     def test_spectrum_is_computed_once_per_operator(self, monkeypatch):
         calls = []
@@ -474,7 +511,7 @@ class TestSymplectic:
                 state = rotate(state, mode, rng.uniform(0, 2 * math.pi))
                 state = displace(state, mode, complex(rng.normal(), rng.normal()))
             assert is_physical(state)
-            assert symplectic_eigenvalues(state.cov)[0] >= 0.25 - 1e-9
+            assert symplectic_eigenvalues(state)[0] >= 0.25 - 1e-9
 
 
 class TestDecomposition:

@@ -19,7 +19,9 @@ from twinbeam import (
     double_homodyne_condition,
     evolve,
     homodyne_density,
+    is_physical,
     overlap,
+    remote_prep,
     rotate,
     sample_double_homodyne,
     sample_homodyne,
@@ -185,12 +187,11 @@ class TestConditionHomodyne:
         eta=st.floats(0.05, 1.0),
         phase=st.floats(0.0, 2.0 * math.pi),
         mode=st.integers(0, 1),
-        weight=st.sampled_from([1.0, 0.37]),
         xs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
     )
-    def test_record_array_matches_scalar_calls(self, r, eta, phase, mode, weight, xs):
+    def test_record_array_matches_scalar_calls(self, r, eta, phase, mode, xs):
         beam = twb(r)
-        state = GaussianOperator(mean=[0.1, -0.2, 0.3, 0.4], cov=beam.cov, weight=weight)
+        state = GaussianOperator(mean=[0.1, -0.2, 0.3, 0.4], cov=beam.cov)
         setting = HomodyneSetting(mode, phase, eta)
         batch = condition_homodyne(state, setting, np.array(xs))
         assert batch.state.mean.shape == (len(xs), 2)
@@ -213,6 +214,41 @@ class TestConditionHomodyne:
             condition_homodyne(twb(0.8), setting, xs)
         with pytest.raises(ValueError, match="x must be finite"):
             homodyne_density(twb(0.8), setting, xs)
+
+
+class TestStrongSqueezing:
+    """The factor form holds the e^{-2r}/4 variances out to r = 12: every
+    twin beam is physical, and homodyne conditioning matches the closed
+    forms within 4 max(1e-12, eps e^{2r}) relative.  r and eta stay off the
+    subnormal range, where the closed forms' photon number and mean have no
+    relative precision."""
+
+    @pytest.mark.parametrize("r", [9.5, 10.0, 12.0])
+    def test_twin_beam_constructs(self, r):
+        assert is_physical(twb(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.floats(0.0, 12.0))
+    def test_twin_beam_is_physical(self, r):
+        assert is_physical(twb(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.one_of(st.just(0.0), st.floats(1e-100, 12.0)),
+        eta=st.floats(1e-9, 1.0),
+        x=st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3)),
+    )
+    def test_conditioning_matches_remote_prep(self, r, eta, x):
+        out = condition_homodyne(twb(r), HomodyneSetting(0, 0.0, eta), x)
+        want = remote_prep(r, eta, x)
+        tol = 4.0 * max(1e-12, np.finfo(float).eps * math.exp(2.0 * r))
+        for got, ref in (
+            (out.state.mean[0], want.a_x_eta),
+            (out.state.cov[0, 0], want.sigma1_sq),
+            (out.state.cov[1, 1], want.sigma2_sq),
+            (out.probability_density, want.outcome_density),
+        ):
+            assert abs(got - ref) <= tol * abs(ref), (got, ref)
 
 
 class TestSampling:

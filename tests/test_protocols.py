@@ -184,13 +184,14 @@ class TestTeleportGaussian:
         np.testing.assert_allclose(
             out.cov, (0.25 + 0.5 * config.kappa_sq) * np.eye(2), atol=1e-14
         )
-        # the hand formula teleport_gaussian replaced, on a squeezed weighted input
-        state = GaussianOperator(mean=[0.3, -1.2], cov=[[0.9, 0.4], [0.4, 0.3]], weight=1.7)
+        # the hand formula teleport_gaussian replaced, on a squeezed input; the
+        # noise is appended to the factor and re-triangularized: 4 eps of the scale
+        state = GaussianOperator(mean=[0.3, -1.2], cov=[[0.9, 0.4], [0.4, 0.3]])
         for s in (coherent(1.0 + 1.0j), state):
             out = teleport_gaussian(s, config)
             np.testing.assert_array_equal(out.mean, s.mean)
-            np.testing.assert_array_equal(out.cov, s.cov + 0.5 * config.kappa_sq * np.eye(2))
-            assert out.weight == s.weight
+            want = s.cov + 0.5 * config.kappa_sq * np.eye(2)
+            np.testing.assert_allclose(out.cov, want, rtol=0, atol=4 * np.finfo(float).eps * np.abs(want).max())
 
     def test_requires_single_mode(self):
         with pytest.raises(ValueError):
