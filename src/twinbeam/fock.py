@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError, require_all, require_count, require_efficiency
+from .gaussian import UnphysicalStateError, require_count, require_detector_efficiency
 
 # Hilbert-space dimension cap: cutoff + 1 <= 128.
 MAX_CUTOFF = 127
@@ -163,8 +163,7 @@ def condition_fock(
     """
     if state.n_modes != 2:
         raise ValueError("conditioning requires a two-mode state")
-    require_all(np.ndim(eta) == 0, "eta must be one number, not an array")
-    require_efficiency(eta, "eta")
+    eta = require_detector_efficiency(eta, "eta")
     if eta == 1.0:  # an ideal record needs no smearing: one node
         grid = QuadratureGrid(points=[0.0], weights=[1.0])
     elif grid is None:

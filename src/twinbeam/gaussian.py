@@ -255,6 +255,18 @@ def require_efficiency(value, name: str) -> None:
     require_all((0.0 < value) & (value <= 1.0), f"{name} must lie in (0, 1]")
 
 
+def require_detector_efficiency(value, name: str) -> float:
+    """``value`` as the float efficiency eta of one detector: one number in
+    (0, 1] whose excess noise (1 - eta) / eta, and so the record noise, is
+    finite.  ValueError naming ``name`` otherwise."""
+    require_all(np.ndim(value) == 0, f"{name} must be one number, not an array")
+    require_efficiency(value, name)
+    eta = float(value)
+    if (1.0 - eta) / eta == math.inf:
+        raise ValueError(f"{name} {eta!r} is too small: its record noise overflows")
+    return eta
+
+
 def elementwise(f, x):
     """``f`` of a number, or of each element of an array, as a float array:
     array results equal the scalar calls bit for bit, as ``np.exp`` or an

@@ -12,11 +12,17 @@ C = (cos phi, sin phi) and R = (1 - eta) / (4 eta), an inefficient
 detector's equivalent noise; double homodyne has C = I_2 and
 R = ref_t.cov + (delta^2 / 2) I_2, the transposed reference broadened by
 the excess noise delta^2 = (1 - eta) / eta.  The conditional covariance
-does not depend on the record, so an array of records gives the family of
-conditional states as one batched operator.  A complex record
-alpha = x + iy is read as the phase-space point (x, -y): the conjugated
-records, viewed as float pairs, are the points with no copy, and the
-samplers return the records the same way.
+does not depend on the record, so an array of records, or a family of
+states, gives the family of conditional states as one batched operator.
+
+One conditioning, one density and one sampler serve both detectors
+(``double_homodyne_condition`` and ``sample_double_homodyne`` are other
+names for them); beside ``_model``, a setting maps its records to offsets
+from the record mean, ``_shift``, and standard normal draws through S^1/2
+to records, ``_records``.  A complex record alpha = x + iy is the point
+(x, -y) from the transposed reference's mean: the conjugated records,
+viewed as float pairs, are the points with no copy.  Conditioning needs
+at least two modes; sampling takes one state.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .gaussian import (
     normal_density,
     require_all,
     require_count,
-    require_efficiency,
+    require_detector_efficiency,
     require_physical,
     require_single,
     transpose_wigner,
@@ -73,8 +79,8 @@ class HomodyneSetting:
         phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError("phase must be finite")
-        require_all(np.size(self.efficiency) == 1, "efficiency must be one number, not an array")
-        require_efficiency(self.efficiency, "efficiency")
+        efficiency = require_detector_efficiency(self.efficiency, "efficiency")
+        object.__setattr__(self, "efficiency", efficiency)
         object.__setattr__(self, "phase", phase % (2.0 * math.pi))
 
     @property
@@ -86,6 +92,15 @@ class HomodyneSetting:
     def _model(self):
         block = np.array([[math.cos(self.phase), math.sin(self.phase)]])
         return self.mode, block, np.array([[math.sqrt(self.noise_variance)]])
+
+    def _shift(self, x, record_mean):
+        """Records ``x`` as offsets from ``record_mean``, along the leading axes."""
+        return as_finite_array(x, "x")[..., None] - record_mean
+
+    def _records(self, draws, s_factor, record_mean):
+        """The records of standard normal ``draws``, of shape (n, 1), through
+        ``s_factor`` about ``record_mean``."""
+        return draws[:, 0] * s_factor[0, 0] + record_mean[0]  # as Generator.normal rounds
 
 
 @dataclass(frozen=True)
@@ -100,8 +115,8 @@ class DoubleHomodyneSetting:
             raise ValueError("reference must be a single-mode state")
         require_single(self.reference, "reference")
         require_physical(self.reference, "reference")
-        require_all(np.size(self.efficiency) == 1, "efficiency must be one number, not an array")
-        require_efficiency(self.efficiency, "efficiency")
+        efficiency = require_detector_efficiency(self.efficiency, "efficiency")
+        object.__setattr__(self, "efficiency", efficiency)
 
     @cached_property
     def transposed_reference(self) -> GaussianOperator:
@@ -117,6 +132,22 @@ class DoubleHomodyneSetting:
     def _model(self):
         excess = math.sqrt(0.5 * self.delta_sq) * np.eye(2)
         return 0, np.eye(2), np.hstack([self.transposed_reference.factor, excess])
+
+    def _shift(self, alpha, record_mean):
+        """Records ``alpha`` as offsets from ``record_mean`` of their POVM
+        elements, the transposed reference displaced by alpha: centred on
+        ref_t.mean + (Re alpha, -Im alpha)."""
+        points = np.asarray(alpha, dtype=complex)[..., None].conj().view(float)
+        require_all(np.isfinite(points), "alpha must be finite")
+        offset = add_points(self.transposed_reference.mean, record_mean, np.subtract)
+        return add_points(points, offset)
+
+    def _records(self, draws, s_factor, record_mean):
+        """The records whose POVM elements are centred at standard normal
+        ``draws``, of shape (n, 2), through ``s_factor`` about ``record_mean``."""
+        alpha = (draws @ s_factor.T).view(complex)[:, 0]
+        alpha += complex(*(record_mean - self.transposed_reference.mean))
+        return np.conjugate(alpha, out=alpha)
 
 
 @dataclass(frozen=True)
@@ -163,98 +194,55 @@ def _update(state: GaussianOperator, setting):
     return state.mean[..., measured] @ block.T, state.mean[..., kept], gain, s_factor, post[m:, m:]
 
 
-def homodyne_density(state: GaussianOperator, setting: HomodyneSetting, x):
-    """Probability density of the homodyne record value ``x``, noise included,
-    or an array of densities for an array of records; 0.0 for a record so far
-    out that its squared distance overflows."""
-    x = as_finite_array(x, "x")  # 0-d for one record
-    require_single(state, "homodyne")
+def homodyne_density(state: GaussianOperator, setting: HomodyneSetting | DoubleHomodyneSetting, x):
+    """Probability density of the record ``x`` of either detector, noise
+    included, or an array of densities for an array of records; 0.0 for a
+    record so far out that its squared distance overflows."""
     record_mean, _, _, s_factor, _ = _update(state, setting)
-    return normal_density(x[..., None] - record_mean, s_factor)
+    return normal_density(setting._shift(x, record_mean), s_factor)
 
 
 def condition_homodyne(
-    state: GaussianOperator, setting: HomodyneSetting, outcome
+    state: GaussianOperator, setting: HomodyneSetting | DoubleHomodyneSetting, outcome
 ) -> ConditionalOutcome:
-    """Condition a multimode state on a homodyne record value.
+    """Condition a multimode state on a record of either detector.
 
     Returns the outcome density together with the normalized Gaussian
     state of the unmeasured modes.  The measured mode is traced out.  An
-    array of records gives one density per record and the family of
-    conditional states, all sharing one covariance.
+    array of records, or a family of states, broadcasts: one density and
+    one conditional state per record, all sharing one covariance.  The
+    double-homodyne density is per unit area in the complex record plane.
     """
-    outcome = as_finite_array(outcome, "x")
-    require_single(state, "homodyne conditioning")
     record_mean, mean, gain, s_factor, factor = _update(state, setting)
     if state.n_modes < 2:
         raise ValueError("conditioning requires at least two modes")
-    shift = outcome[..., None] - record_mean  # records along the leading axes
-    return ConditionalOutcome(
-        state=from_factor(mean + shift @ gain.T, factor),
-        _density=lambda: normal_density(shift, s_factor),
-    )
-
-
-def sample_homodyne(
-    state: GaussianOperator,
-    setting: HomodyneSetting,
-    seed: int | np.random.Generator,
-    n_samples: int | None = None,
-):
-    """Draw homodyne record values; identical seeds give identical draws.
-
-    Returns a scalar when ``n_samples`` is None, else an array of that
-    length from the same deterministic stream.  A Generator ``seed`` is
-    drawn from and left advanced, so draws of k blocks from one Generator
-    concatenate to the draws of one call with its seed.
-    """
-    size = None if n_samples is None else require_count(n_samples, "n_samples")
-    require_single(state, "homodyne sampling")
-    record_mean, _, _, s_factor, _ = _update(state, setting)
-    draws = as_generator(seed).normal(record_mean[0], s_factor[0, 0], size=size)
-    return float(draws) if n_samples is None else draws
-
-
-def double_homodyne_condition(
-    state: GaussianOperator, setting: DoubleHomodyneSetting, alpha
-) -> ConditionalOutcome:
-    """Condition the second mode on a joint x/y record ``alpha``.
-
-    The first mode of ``state`` is measured against the setting's
-    reference; the density is per unit area in the complex record plane.
-    An array of records, or a family of states, broadcasts: one density
-    and one conditional state per record, all sharing one covariance.
-    """
-    record_mean, mean, gain, s_factor, factor = _update(state, setting)
-    if state.n_modes != 2:
-        raise ValueError("double homodyne conditioning expects a two-mode state")
-    # the POVM element is centred on the transposed reference displaced by
-    # alpha, i.e. shifted by the point (Re alpha, -Im alpha)
-    offset = add_points(setting.transposed_reference.mean, record_mean, np.subtract)
-    shift = add_points(np.asarray(alpha, dtype=complex)[..., None].conj().view(float), offset)
+    shift = setting._shift(outcome, record_mean)  # records along the leading axes
     return ConditionalOutcome(
         state=from_factor(add_points(mean, shift @ gain.T), factor),
         _density=lambda: normal_density(shift, s_factor),
     )
 
 
-def sample_double_homodyne(
+def sample_homodyne(
     state: GaussianOperator,
-    setting: DoubleHomodyneSetting,
+    setting: HomodyneSetting | DoubleHomodyneSetting,
     seed: int | np.random.Generator,
     n_samples: int | None = None,
 ):
-    """Draw joint records alpha = x + iy; seeds and Generators as for
-    :func:`sample_homodyne`."""
-    require_single(state, "double homodyne sampling")
+    """Draw records of either detector; identical seeds give identical draws.
+
+    Returns one record when ``n_samples`` is None, else an array of that
+    length from the same deterministic stream.  A Generator ``seed`` is
+    drawn from and left advanced, so draws of k blocks from one Generator
+    concatenate to the draws of one call with its seed.
+    """
     size = 1 if n_samples is None else require_count(n_samples, "n_samples")
+    require_single(state, "sampling")
     record_mean, _, _, s_factor, _ = _update(state, setting)
-    if state.n_modes != 2:
-        raise ValueError("double homodyne conditioning expects a two-mode state")
-    draws = as_generator(seed).standard_normal((size, 2)) @ s_factor.T
-    # the observed point record_mean + draws is the POVM centre
-    # ref_t.mean + (x, -y); the record x + iy is its conjugated offset
-    alpha = draws.view(complex)[:, 0]
-    alpha += complex(*(record_mean - setting.transposed_reference.mean))
-    np.conjugate(alpha, out=alpha)
-    return complex(alpha[0]) if n_samples is None else alpha
+    draws = as_generator(seed).standard_normal((size, len(s_factor)))
+    records = setting._records(draws, s_factor, record_mean)
+    return records[0].item() if n_samples is None else records
+
+
+double_homodyne_condition = condition_homodyne
+sample_double_homodyne = sample_homodyne

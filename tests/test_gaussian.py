@@ -339,6 +339,31 @@ class TestRequireEfficiency:
         with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\]$"):
             site(value)
 
+    @pytest.mark.parametrize("value", [5e-324, np.float64(1e-320), 2e-309])
+    @pytest.mark.parametrize(
+        "site, name",
+        [
+            (lambda v: HomodyneSetting(efficiency=v), "efficiency"),
+            (lambda v: DoubleHomodyneSetting(coherent(0.0), v), "efficiency"),
+            (lambda v: condition_fock(twb_fock(0.3, 10), 0.1, v), "eta"),
+        ],
+    )
+    def test_every_detector_rejects_an_overflowing_noise(self, site, name, value):
+        # (1 - eta) / eta overflows: a ValueError naming the efficiency, not
+        # a zero conditional mean, infinite draws or a RuntimeWarning
+        with pytest.raises(ValueError, match=rf"^{name} \S+ is too small: its record noise overflows$"):
+            site(value)
+
+    def test_settings_take_a_tiny_efficiency_whose_noise_is_finite(self):
+        assert HomodyneSetting(efficiency=1e-300).noise_variance == pytest.approx(2.5e299)
+        assert DoubleHomodyneSetting(coherent(0.0), 1e-300).delta_sq == pytest.approx(1e300)
+
+    def test_settings_reject_a_one_element_array(self):
+        # as condition_fock does: an array of shape (1,) is not one number
+        for build in (HomodyneSetting, lambda efficiency: DoubleHomodyneSetting(coherent(0.0), efficiency)):
+            with pytest.raises(ValueError, match="^efficiency must be one number, not an array$"):
+                build(efficiency=np.array([0.5]))
+
     def test_settings_take_one_efficiency(self):
         for build in (HomodyneSetting, lambda efficiency: DoubleHomodyneSetting(coherent(0.0), efficiency)):
             with pytest.raises(ValueError, match="efficiency must be one number"):

@@ -265,6 +265,23 @@ class TestSampling:
         b = sample_homodyne(state, setting, seed=7, n_samples=5)
         np.testing.assert_array_equal(a, b)
 
+    def test_pinned_draws(self):
+        # the first records of both streams, pinned across rewrites: a
+        # sampler that reorders its draws or maps them differently fails
+        state = evolve(twb(0.8), LossChannel(0.1, 0.2))
+        homodyne = HomodyneSetting(0, 0.3, 0.8)
+        double = DoubleHomodyneSetting(coherent(1.0 - 0.5j), 0.9)
+        xs = [-0.6192341320653059, 0.70475951818412, 0.34181254855939397]
+        alphas = [
+            -1.721623882796583 - 0.32129080684499256j,
+            -0.6016690849108232 + 1.0165948433040704j,
+            -1.3225775009355232 - 0.3772535668159902j,
+        ]
+        assert sample_homodyne(state, homodyne, 5) == pytest.approx(xs[0], rel=1e-13)
+        assert sample_homodyne(state, homodyne, 5, 3) == pytest.approx(xs, rel=1e-13)
+        assert sample_double_homodyne(state, double, 5) == pytest.approx(alphas[0], rel=1e-13)
+        assert sample_double_homodyne(state, double, 5, 3) == pytest.approx(alphas, rel=1e-13)
+
     @pytest.mark.parametrize("n_samples", [2.7, 2.0, True, "3", -1])
     def test_sample_count_checked(self, n_samples):
         state = twb(0.5)
@@ -312,10 +329,35 @@ class TestDoubleHomodyne:
         setting = DoubleHomodyneSetting(coherent(0))
         assert double_homodyne_condition(twb(0.5), setting, 1e200).probability_density == 0.0
 
+    @pytest.mark.parametrize(
+        "alpha", [complex(math.nan, 0.0), complex(0.0, math.inf), [0.5, complex(-math.inf, 1.0)]]
+    )
+    def test_a_non_finite_record_is_named(self, alpha):
+        # no "mean must be finite", no RuntimeWarning and no density of 0.0
+        setting = DoubleHomodyneSetting(coherent(0.0), 0.9)
+        for f in (double_homodyne_condition, homodyne_density):
+            with pytest.raises(ValueError, match="^alpha must be finite$"):
+                f(twb(0.5), setting, alpha)
+
     def test_requires_two_mode_state(self):
         setting = DoubleHomodyneSetting(reference=coherent(0.0))
         with pytest.raises(ValueError):
             double_homodyne_condition(vacuum(1), setting, 0.0)
+
+    def test_conditions_more_than_two_modes(self):
+        # one rule for both detectors: a third, uncorrelated mode passes through
+        setting = DoubleHomodyneSetting(coherent(0.3 - 0.2j), 0.9)
+        pair = evolve(twb(0.6), LossChannel(0.2, 0.1))
+        extra = displace(squeeze(vacuum(1), 0, 0.4, 0.3), 0, 0.5j)
+        cov = np.block([[pair.cov, np.zeros((4, 2))], [np.zeros((2, 4)), extra.cov]])
+        three = GaussianOperator(np.r_[pair.mean, extra.mean], cov)
+        one = double_homodyne_condition(pair, setting, 0.4 + 0.1j)
+        both = double_homodyne_condition(three, setting, 0.4 + 0.1j)
+        np.testing.assert_allclose(both.state.mean, np.r_[one.state.mean, extra.mean], atol=1e-14)
+        joint = np.block([[one.state.cov, np.zeros((2, 2))], [np.zeros((2, 2)), extra.cov]])
+        np.testing.assert_allclose(both.state.cov, joint, atol=1e-14)
+        assert both.probability_density == pytest.approx(one.probability_density, rel=1e-13)
+        assert homodyne_density(three, setting, 0.4 + 0.1j) == both.probability_density
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0 + 0.5j, -0.3 - 2.0j])
     def test_unentangled_beam_leaves_vacuum(self, alpha):
@@ -410,14 +452,19 @@ class TestBatchedRecords:
             )
             np.testing.assert_array_equal(batch.state.cov, one.state.cov)
 
-    def test_batched_state_matches_scalar_calls(self):
+    @pytest.mark.parametrize(
+        "setting, record",
+        [(SETTING, 0.5 - 0.5j), (HomodyneSetting(0, 0.7, 0.8), 0.3)],
+        ids=["double_homodyne", "homodyne"],
+    )
+    def test_batched_state_matches_scalar_calls(self, setting, record):
+        # one conditioning rule for both detectors: a family of states
+        # conditions member by member
         shifts = np.array([0.0, 0.4 - 1.0j, -2.0 + 0.3j])
         family = displace(self.STATE, 0, shifts)
-        batch = double_homodyne_condition(family, self.SETTING, 0.5 - 0.5j)
+        batch = condition_homodyne(family, setting, record)
         for k, shift in enumerate(shifts):
-            one = double_homodyne_condition(
-                displace(self.STATE, 0, shift), self.SETTING, 0.5 - 0.5j
-            )
+            one = condition_homodyne(displace(self.STATE, 0, shift), setting, record)
             assert batch.probability_density[k] == pytest.approx(
                 one.probability_density, rel=1e-13
             )
@@ -425,10 +472,6 @@ class TestBatchedRecords:
 
     def test_single_state_operations_reject_a_family(self):
         family = displace(self.STATE, 1, np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            condition_homodyne(family, HomodyneSetting(mode=0), 0.3)
-        with pytest.raises(ValueError):
-            homodyne_density(family, HomodyneSetting(mode=0), 0.3)
         with pytest.raises(ValueError):
             sample_homodyne(family, HomodyneSetting(mode=0), seed=1)
         with pytest.raises(ValueError):
