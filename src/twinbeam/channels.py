@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianOperator, elementwise, gaussian_map, require_all
-from .gaussian import require_finite_nonnegative, require_physical
+from .gaussian import require_finite_nonnegative
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ def evolve(state: GaussianOperator, channel: LossChannel) -> GaussianOperator:
     X = sqrt(T) I, Y = (added variance) I, which contracts covariances toward
     the bath variance.  The fixed point is the thermal state of the bath.
     """
-    require_physical(state)
     added = channel.added_variance
     require_all(np.ndim(added) == 0, "evolve takes one channel, not a grid")
     require_all(added < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")

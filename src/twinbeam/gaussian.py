@@ -22,7 +22,10 @@ Conventions used throughout the package:
 * every covariance change is one Gaussian map (X, Y), cov -> X cov X^T + Y
   (:func:`gaussian_map`), L -> [X L, sqrt(Y)] re-triangularized: a
   symplectic X for ``squeeze`` and ``rotate``, diag(1, -1, ...) for
-  ``transpose_wigner``, multiples of I for loss and noise.
+  ``transpose_wigner``, multiples of I for loss and noise;
+* the uncertainty bound V + (i/4) Omega >= 0 is checked once, where a
+  covariance enters, ``GaussianOperator(mean, cov)``: every map and
+  measurement keeps a state physical, so none checks it again.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ def as_finite_array(values, name: str) -> np.ndarray:
 class GaussianOperator:
     """Gaussian-Wigner operator: a normal density in phase space.
 
-    ``GaussianOperator(mean, cov)`` validates a user's covariance once and
-    keeps its Cholesky factor; operations build their results from factors
-    with :func:`from_factor`, unchecked.
+    ``GaussianOperator(mean, cov)`` checks a user's covariance once, the
+    uncertainty bound included, and keeps its Cholesky factor; operations
+    keep states physical and build their results with :func:`from_factor`.
 
     Attributes:
         mean: quadrature means of shape (..., 2n), ordered (x1, y1, ...,
@@ -92,6 +95,7 @@ class GaussianOperator:
         except np.linalg.LinAlgError:
             raise ValueError("cov must be positive definite") from None
         self.__dict__.update(from_factor(mean, factor).__dict__)
+        require_physical(self)
 
     @property
     def n_modes(self) -> int:
@@ -105,25 +109,17 @@ class GaussianOperator:
         return cov
 
     def with_mean(self, mean: np.ndarray) -> GaussianOperator:
-        """This operator's factor and any computed spectrum about ``mean``, a
-        point or a family of shape (..., 2n) freshly computed, taken over."""
+        """This operator's factor about ``mean``, a point or a family of
+        shape (..., 2n) freshly computed, taken over."""
         if np.shape(mean)[-1:] != self.mean.shape[-1:]:
             raise ValueError("mean must match the operator's phase-space dimension")
-        op = from_factor(mean, self.factor)
-        if "min_symplectic_eigenvalue" in self.__dict__:
-            op.__dict__["min_symplectic_eigenvalue"] = self.min_symplectic_eigenvalue
-        return op
-
-    @cached_property
-    def min_symplectic_eigenvalue(self) -> float:
-        """Least symplectic eigenvalue of ``cov``, computed once per operator."""
-        return float(symplectic_eigenvalues(self)[0])
+        return from_factor(mean, self.factor)
 
 
 def from_factor(mean, factor: np.ndarray) -> GaussianOperator:
-    """The operator about ``mean`` with the lower-triangular ``factor``,
-    computed from validated operators' factors: only the mean is checked,
-    for finiteness.  Both arrays are taken over and become read-only."""
+    """The operator about ``mean`` with the lower-triangular ``factor`` of
+    a physical state, such as a physical map's image of one: unchecked but
+    for the mean's finiteness.  Both arrays are taken over, read-only."""
     mean = np.asarray(mean, dtype=float)
     if not np.isfinite(mean).all():
         raise ValueError("mean must be finite")
@@ -142,11 +138,6 @@ class SqueezedThermalDecomposition:
     squeeze_r: float
     squeeze_phase: float
     n_th: float
-
-    def to_operator(self) -> GaussianOperator:
-        """Rebuild the Gaussian state described by these parameters."""
-        squeezed = squeeze(thermal(self.n_th), 0, self.squeeze_r, self.squeeze_phase)
-        return displace(squeezed, 0, self.displacement)
 
 
 def _rotation_matrix(phi: float, name: str) -> np.ndarray:
@@ -180,7 +171,9 @@ def lower_factor(pre_array: np.ndarray) -> np.ndarray:
 def gaussian_map(op: GaussianOperator, x: np.ndarray, noise=None) -> GaussianOperator:
     """The Gaussian map (X, Y): mean -> X mean, cov -> X cov X^T + Y, for
     Y = N N^T given by a factor N of 2n rows (None for Y = 0); a family's
-    means map together.  The factor L goes to [X L, N], re-triangularized."""
+    means map together.  The factor L goes to [X L, N], re-triangularized.
+    Unchecked: the caller passes a map that keeps states physical, such as a
+    channel, Y + (i/4)(Omega - X Omega X^T) >= 0, or the transpose."""
     pre_array = x @ op.factor if noise is None else np.hstack([x @ op.factor, noise])
     return from_factor(op.mean @ x.T, lower_factor(pre_array))
 
@@ -208,16 +201,17 @@ def physicality_tolerance(op: GaussianOperator) -> float:
 
 def is_physical(op: GaussianOperator) -> bool:
     """True when the covariance satisfies the uncertainty bound."""
-    return op.min_symplectic_eigenvalue >= VACUUM_VARIANCE - physicality_tolerance(op)
+    return float(symplectic_eigenvalues(op)[0]) >= VACUUM_VARIANCE - physicality_tolerance(op)
 
 
-def require_physical(op: GaussianOperator, what: str = "state") -> None:
-    nu_min = op.min_symplectic_eigenvalue
+def require_physical(op: GaussianOperator) -> None:
+    """Raise UnphysicalStateError unless ``op`` satisfies the uncertainty bound."""
+    nu_min = float(symplectic_eigenvalues(op)[0])
     tol = physicality_tolerance(op)
     if nu_min < VACUUM_VARIANCE - tol:
         raise UnphysicalStateError(
-            f"{what} violates the uncertainty bound: min symplectic eigenvalue "
-            f"{float(nu_min)!r} is {VACUUM_VARIANCE - nu_min:.3g} below {VACUUM_VARIANCE}, "
+            "state violates the uncertainty bound: min symplectic eigenvalue "
+            f"{nu_min!r} is {VACUUM_VARIANCE - nu_min:.3g} below {VACUUM_VARIANCE}, "
             f"beyond the tolerance {tol!r}"
         )
 
@@ -455,7 +449,6 @@ def decompose_single_mode(op: GaussianOperator) -> SqueezedThermalDecomposition:
     if op.n_modes != 1:
         raise ValueError("decomposition requires a single-mode operator")
     require_single(op, "decomposition")
-    require_physical(op)
     # cov = L L^T has eigenvalues s^2 and eigenvectors u for L = u diag(s) v^T
     u, s, _ = np.linalg.svd(op.factor)
     s_max, s_min = float(s[0]), float(s[1])

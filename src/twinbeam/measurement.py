@@ -44,7 +44,6 @@ from .gaussian import (
     require_all,
     require_count,
     require_detector_efficiency,
-    require_physical,
     require_single,
     transpose_wigner,
 )
@@ -114,7 +113,6 @@ class DoubleHomodyneSetting:
         if self.reference.n_modes != 1:
             raise ValueError("reference must be a single-mode state")
         require_single(self.reference, "reference")
-        require_physical(self.reference, "reference")
         efficiency = require_detector_efficiency(self.efficiency, "efficiency")
         object.__setattr__(self, "efficiency", efficiency)
 
@@ -176,7 +174,6 @@ def _update(state: GaussianOperator, setting):
     [[S^1/2, 0], [G, L_k']]: S = C L L^T C^T + R is the record covariance,
     K = G S^-1/2 the gain and L_k' the kept modes' factor given y.  Returns
     C z, the kept modes' mean, K, S^1/2 and L_k'."""
-    require_physical(state)
     mode, block, noise = setting._model
     if mode >= state.n_modes:
         raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")

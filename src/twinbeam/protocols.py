@@ -32,7 +32,6 @@ from .gaussian import (
     require_count,
     require_efficiency,
     require_finite_nonnegative,
-    require_physical,
     twb,
 )
 from .measurement import (
@@ -156,7 +155,6 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
 
 def teleport_gaussian(state: GaussianOperator, config: TeleportConfig) -> GaussianOperator:
     """Average teleported state: the input's Gaussian map X = I, Y = (kappa^2/2) I."""
-    require_physical(state)
     if state.n_modes != 1:
         raise ValueError("teleportation acts on a single-mode input")
     config.require_single("teleport_gaussian")

@@ -13,7 +13,7 @@ from twinbeam import (
     DoubleHomodyneSetting,
     GaussianOperator,
     HomodyneSetting,
-    SqueezedThermalDecomposition,
+    LossChannel,
     TeleportConfig,
     UnphysicalStateError,
     coherent,
@@ -21,6 +21,7 @@ from twinbeam import (
     condition_homodyne,
     decompose_single_mode,
     displace,
+    evolve,
     is_physical,
     overlap,
     photon_number,
@@ -29,6 +30,8 @@ from twinbeam import (
     squeeze,
     squeezing_from_photon_number,
     symplectic_eigenvalues,
+    teleport_gaussian,
+    teleport_monte_carlo,
     thermal,
     transpose_wigner,
     twb,
@@ -37,7 +40,7 @@ from twinbeam import (
     wigner_eval,
 )
 from twinbeam import gaussian
-from twinbeam.gaussian import add_points, require_physical
+from twinbeam.gaussian import add_points, from_factor, require_physical
 
 # r for a twin beam with N = 1 photon per arm (lam = 1/sqrt(3))
 R_N1 = 0.6584789484624085
@@ -83,12 +86,10 @@ class TestGaussianOperator:
 
     def test_with_mean_shares_covariance_and_weight(self):
         state = GaussianOperator(mean=np.zeros(4), cov=twb(0.6).cov)
-        require_physical(state)
         mean = np.ones((3, 4))
         family = state.with_mean(mean)
         assert family.mean is mean and family.factor is state.factor
         np.testing.assert_array_equal(family.cov, state.cov)
-        assert family.min_symplectic_eigenvalue == state.min_symplectic_eigenvalue
         with pytest.raises(ValueError):
             family.mean[0, 0] = 2.0  # taken over read-only
         for bad in (np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(2), np.zeros(())):
@@ -474,17 +475,18 @@ class TestSymplectic:
                 symplectic_eigenvalues(arg)
 
     def test_subvacuum_is_unphysical(self):
-        bad = GaussianOperator(mean=np.zeros(2), cov=0.125 * np.eye(2))
-        assert not is_physical(bad)
+        cov = 0.125 * np.eye(2)
+        assert not is_physical(from_factor(np.zeros(2), np.linalg.cholesky(cov)))
         with pytest.raises(UnphysicalStateError):
-            decompose_single_mode(bad)
+            GaussianOperator(mean=np.zeros(2), cov=cov)
 
     def test_error_states_eigenvalue_margin_and_tolerance(self):
         # a shortfall that six significant digits of the eigenvalue would hide
-        bad = GaussianOperator(mean=np.zeros(2), cov=(0.25 - 1.75e-8) * np.eye(2))
-        nu = bad.min_symplectic_eigenvalue
+        cov = (0.25 - 1.75e-8) * np.eye(2)
+        bad = from_factor(np.zeros(2), np.linalg.cholesky(cov))
+        nu = symplectic_eigenvalues(bad)[0]
         with pytest.raises(UnphysicalStateError) as info:
-            condition_homodyne(bad, HomodyneSetting(0, 0.0, 0.8), 0.3)
+            GaussianOperator(mean=np.zeros(2), cov=cov)
         pattern = r"eigenvalue (\S+) is (\S+) below (\S+), beyond the tolerance (\S+)$"
         match = re.search(pattern, str(info.value))
         assert match, str(info.value)
@@ -502,29 +504,42 @@ class TestSymplectic:
         trace = big * big + 0.25
         tol = 1e-9 + 8.0 * 2.0**-52 * trace
         small = (0.25 - side * tol) / big
-        state = GaussianOperator(mean=np.zeros(2), cov=np.diag([big * big, small * small]))
+        cov = np.diag([big * big, small * small])
+        state = from_factor(np.zeros(2), np.linalg.cholesky(cov))
         assert gaussian.physicality_tolerance(state) == pytest.approx(tol, rel=1e-9)
         if side > 1.0:
             assert not is_physical(state)
-            with pytest.raises(UnphysicalStateError) as info:
-                require_physical(state)
-            stated = float(re.search(r"beyond the tolerance (\S+)$", str(info.value)).group(1))
-            assert stated == gaussian.physicality_tolerance(state)
+            for check in (lambda: require_physical(state), lambda: GaussianOperator(np.zeros(2), cov)):
+                with pytest.raises(UnphysicalStateError) as info:
+                    check()
+                stated = float(re.search(r"beyond the tolerance (\S+)$", str(info.value)).group(1))
+                assert stated == gaussian.physicality_tolerance(state)
         else:
             assert is_physical(state)
             require_physical(state)
+            np.testing.assert_array_equal(GaussianOperator(np.zeros(2), cov).factor, state.factor)
 
     def test_spectrum_is_computed_once_per_operator(self, monkeypatch):
+        # the bound is checked where a covariance enters, and by no map,
+        # measurement, channel or protocol
         calls = []
         spectrum = gaussian.symplectic_eigenvalues
-        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", lambda cov: calls.append(cov) or spectrum(cov))
-        beam = twb(0.7)
-        assert is_physical(beam)
-        require_physical(beam)
-        for x in (-0.4, 0.0, 0.9):
-            assert condition_homodyne(beam, HomodyneSetting(mode=0), x).probability_density > 0.0
-        assert len(calls) == 1
-        assert beam.min_symplectic_eigenvalue == pytest.approx(0.25, abs=1e-12)
+        monkeypatch.setattr(gaussian, "symplectic_eigenvalues", lambda op: calls.append(op) or spectrum(op))
+        config = TeleportConfig(0.7, 0.2, 0.1, 0.9)
+        beam = evolve(twb(0.7), config.channel())
+        homodyne = condition_homodyne(beam, HomodyneSetting(0, 0.3, 0.8), [-0.4, 0.0, 0.9])
+        assert (homodyne.probability_density > 0.0).all()
+        double = condition_homodyne(beam, DoubleHomodyneSetting(coherent(0.5j), 0.9), 0.2 - 0.1j)
+        assert double.probability_density > 0.0
+        state = displace(double.state, 0, -0.2 + 0.1j)
+        assert 0.0 < overlap(state, coherent(0.5j)) < 1.0
+        assert decompose_single_mode(state).n_th > 0.0
+        teleport_gaussian(coherent(0.5j), config)
+        assert 0.0 < teleport_monte_carlo(0.5j, config, 10**4, 1) < 1.0
+        assert calls == []
+        for cov in (0.25 * np.eye(2), twb(0.7).cov, np.diag([1.0, 0.5])):
+            GaussianOperator(np.zeros(len(cov)), cov)
+        assert len(calls) == 3
 
     def test_random_symplectic_sequences_stay_physical(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -537,6 +552,49 @@ class TestSymplectic:
                 state = displace(state, mode, complex(rng.normal(), rng.normal()))
             assert is_physical(state)
             assert symplectic_eigenvalues(state)[0] >= 0.25 - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_maps_keep_states_physical(self, data):
+        # no map, measurement, channel or protocol checks the bound: each
+        # must keep a physical state physical on its own
+        angle, eta = st.floats(0.0, 2.0 * math.pi), st.floats(1e-3, 1.0)
+        point = st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)
+        state = data.draw(st.one_of(st.floats(0.0, 12.0).map(twb), st.floats(0.0, 100.0).map(thermal)))
+        for _ in range(data.draw(st.integers(1, 6), label="steps")):
+            n = state.n_modes
+            kinds = ["squeeze", "rotate", "displace", "evolve", "transpose"]
+            kinds += ["homodyne", "double homodyne"] if n > 1 else ["teleport"]
+            kind = data.draw(st.sampled_from(kinds), label="map")
+            mode = data.draw(st.integers(0, n - 1), label="mode")
+            # an array of records gives a family; a family takes one record
+            many = state.mean.ndim == 1 and data.draw(st.booleans(), label="array of records")
+            if kind == "squeeze":
+                state = squeeze(state, mode, data.draw(st.floats(-1.0, 1.0)), data.draw(angle))
+            elif kind == "rotate":
+                state = rotate(state, mode, data.draw(angle))
+            elif kind == "displace":
+                state = displace(state, mode, data.draw(point))
+            elif kind == "evolve":
+                channel = LossChannel(data.draw(st.floats(0.0, 5.0)), data.draw(st.floats(0.0, 10.0)))
+                state = evolve(state, channel)
+            elif kind == "transpose":
+                state = transpose_wigner(state)
+            elif kind == "homodyne":
+                x = st.floats(-5.0, 5.0)
+                setting = HomodyneSetting(mode, data.draw(angle), data.draw(eta))
+                record = data.draw(st.lists(x, min_size=1, max_size=4) if many else x)
+                state = condition_homodyne(state, setting, record).state
+            elif kind == "double homodyne":
+                reference = squeeze(coherent(data.draw(point)), 0, data.draw(st.floats(0.0, 2.0)))
+                setting = DoubleHomodyneSetting(reference, data.draw(eta))
+                record = data.draw(st.lists(point, min_size=1, max_size=4) if many else point)
+                # the reference's mode is the state's first
+                state = condition_homodyne(state, setting, record).state
+            else:
+                config = TeleportConfig(*(data.draw(st.floats(0.0, 3.0)) for _ in range(3)), data.draw(eta))
+                state = teleport_gaussian(state, config)
+            assert is_physical(state), kind
 
 
 class TestDecomposition:
@@ -564,12 +622,11 @@ class TestDecomposition:
     @pytest.mark.parametrize("r", [0.0, 0.35, 1.1])
     @pytest.mark.parametrize("phase", [0.0, 0.7, 2.9])
     def test_reconstruction_idempotent(self, n_th, r, phase):
-        original = SqueezedThermalDecomposition(
-            displacement=0.4 - 0.9j, squeeze_r=r, squeeze_phase=phase, n_th=n_th
-        )
-        state = original.to_operator()
+        state = displace(squeeze(thermal(n_th), 0, r, phase), 0, 0.4 - 0.9j)
         dec = decompose_single_mode(state)
-        round_trip = dec.to_operator()
+        round_trip = displace(
+            squeeze(thermal(dec.n_th), 0, dec.squeeze_r, dec.squeeze_phase), 0, dec.displacement
+        )
         np.testing.assert_allclose(round_trip.cov, state.cov, atol=1e-10)
         np.testing.assert_allclose(round_trip.mean, state.mean, atol=1e-12)
         assert dec.n_th == pytest.approx(n_th, abs=1e-10)
@@ -590,7 +647,10 @@ class TestDecomposition:
                 complex(rng.normal(), rng.normal()),
             )
             dec = decompose_single_mode(state)
-            np.testing.assert_allclose(dec.to_operator().cov, state.cov, atol=1e-10)
+            round_trip = displace(
+                squeeze(thermal(dec.n_th), 0, dec.squeeze_r, dec.squeeze_phase), 0, dec.displacement
+            )
+            np.testing.assert_allclose(round_trip.cov, state.cov, atol=1e-10)
 
     def test_rejects_multimode(self):
         with pytest.raises(ValueError):

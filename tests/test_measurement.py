@@ -155,9 +155,8 @@ class TestConditionHomodyne:
             condition_homodyne(vacuum(1), HomodyneSetting(mode=0), 0.0)
         with pytest.raises(ValueError):
             condition_homodyne(twb(0.5), HomodyneSetting(mode=2), 0.0)
-        bad = GaussianOperator(mean=np.zeros(4), cov=0.1 * np.eye(4))
-        with pytest.raises(UnphysicalStateError):
-            condition_homodyne(bad, HomodyneSetting(mode=0), 0.0)
+        with pytest.raises(UnphysicalStateError):  # the only way in for an unphysical state
+            GaussianOperator(mean=np.zeros(4), cov=0.1 * np.eye(4))
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_density_needs_a_finite_record(self, x):
@@ -317,9 +316,8 @@ class TestDoubleHomodyne:
             DoubleHomodyneSetting(reference=twb(0.3))
         with pytest.raises(ValueError):
             DoubleHomodyneSetting(reference=coherent(0.0), efficiency=0.0)
-        bad = GaussianOperator(mean=np.zeros(2), cov=0.1 * np.eye(2))
-        with pytest.raises(UnphysicalStateError):
-            DoubleHomodyneSetting(reference=bad)
+        with pytest.raises(UnphysicalStateError):  # so no reference can be unphysical
+            GaussianOperator(mean=np.zeros(2), cov=0.1 * np.eye(2))
         assert DoubleHomodyneSetting(
             reference=coherent(0.0), efficiency=0.8
         ).delta_sq == pytest.approx(0.25, abs=1e-15)
