@@ -6,7 +6,7 @@ independent truncated number-basis oracle so the two routes can be
 cross-validated to tight tolerances.
 """
 
-from .channels import LossChannel, effective_kappa_contribution, evolve
+from .channels import LossChannel, evolve
 from .fock import (
     DegenerateOutcomeError,
     FockMoments,
@@ -82,7 +82,6 @@ __all__ = [
     "decompose_single_mode",
     "displace",
     "double_homodyne_condition",
-    "effective_kappa_contribution",
     "eta_threshold",
     "evolve",
     "fidelity_coherent",

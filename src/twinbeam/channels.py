@@ -4,7 +4,7 @@ The channel is parametrized by the dimensionless damping ``gamma_t``
 (decay-rate times time) and the mean photon number ``thermal_photons``
 of the bath.  Acting on a Gaussian state it contracts means by
 e^{-gamma_t/2} and drives every quadrature variance toward the bath
-value (2 thermal_photons + 1)/4.
+value (2 thermal_photons + 1)/4.  Every channel that builds has finite figures.
 """
 
 from __future__ import annotations
@@ -31,7 +31,11 @@ class LossChannel:
 
     def __post_init__(self):
         require_finite_nonnegative(self.gamma_t, "gamma_t")
-        require_finite_nonnegative(self.thermal_photons, "thermal_photons")
+        m = self.thermal_photons  # 2M + 1 is finite exactly where M < 2^1023: M <= float max / 2
+        valid = (0.0 <= m) & (m < 2.0**1023)
+        if not (valid.all() if isinstance(valid, np.ndarray) else valid):
+            require_finite_nonnegative(m, "thermal_photons")
+            raise ValueError("the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
 
     @property
     def transmission(self) -> float:
@@ -51,24 +55,5 @@ def evolve(state: GaussianOperator, channel: LossChannel) -> GaussianOperator:
     """
     added = channel.added_variance
     require_all(np.ndim(added) == 0, "evolve takes one channel, not a grid")
-    require_all(added < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
     eye = np.eye(2 * state.n_modes)
     return gaussian_map(state, math.sqrt(channel.transmission) * eye, math.sqrt(added) * eye)
-
-
-def effective_kappa_contribution(r: float, channel: LossChannel) -> float:
-    """Teleportation noise from squeezing plus channel damping.
-
-    Equals e^{-gamma_t - 2r} + (2M + 1)(1 - e^{-gamma_t}): four times the
-    variance of the damped twin-beam difference quadrature.  An array of
-    r, or a grid of channels, broadcasts.  Raises ValueError where 2M + 1
-    overflows, as it does for an M near the float limit.
-    """
-    require_finite_nonnegative(r, "r")
-    t = channel.transmission
-    with np.errstate(over="ignore", invalid="ignore"):
-        bath = (2.0 * channel.thermal_photons + 1.0) * (1.0 - t)
-        kappa = t * elementwise(math.exp, -2.0 * r) + bath
-    require_all(kappa < math.inf, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
-    return kappa
-

@@ -335,7 +335,10 @@ def _parse_range(text: str, flag: str) -> tuple[float, ...]:
 
 def _number(value, flag: str) -> float:
     if type(value) in (int, float):  # a bool is not a number here
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer has no bound
+            raise ConfigurationError(f"{flag} expects numbers within float range") from None
     raise ConfigurationError(f"{flag} expects numbers; got {value!r}")
 
 

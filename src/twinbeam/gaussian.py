@@ -146,7 +146,8 @@ def _rotation_matrix(phi: float, name: str) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _mode_block(mode: int, n_modes: int) -> slice:
+def mode_block(mode: int, n_modes: int) -> slice:
+    """Mode ``mode``'s (x, y) slice; ValueError unless 0 <= mode < n_modes."""
     if not 0 <= mode < n_modes:
         raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
     return slice(2 * mode, 2 * mode + 2)
@@ -154,7 +155,7 @@ def _mode_block(mode: int, n_modes: int) -> slice:
 
 def _embed_single_mode(matrix: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
     full = np.eye(2 * n_modes)
-    block = _mode_block(mode, n_modes)
+    block = mode_block(mode, n_modes)
     full[block, block] = matrix
     return full
 
@@ -183,13 +184,13 @@ def symplectic_eigenvalues(op: GaussianOperator) -> np.ndarray:
 
     A covariance matrix describes a physical state iff every symplectic
     eigenvalue is at least the vacuum variance 1/4.  The Hermitian
-    i L^T Omega L has the spectrum with both signs, ascending.
+    i L^T Omega L = i (F - F^T), F = L_x^T L_y for the x and y rows of L
+    (Omega is [[0, 1], [-1, 0]] on each mode), has the spectrum with both signs.
     """
     if not isinstance(op, GaussianOperator):
         raise TypeError("symplectic_eigenvalues takes the state, not its covariance")
-    # the symplectic form of the (x1, y1, ...) ordering: [[0, 1], [-1, 0]] on each mode
-    omega = np.kron(np.eye(op.n_modes), [[0.0, 1.0], [-1.0, 0.0]])
-    return np.linalg.eigvalsh(1j * (op.factor.T @ omega @ op.factor))[op.n_modes :]
+    form = op.factor[0::2].T @ op.factor[1::2]
+    return np.linalg.eigvalsh(1j * (form - form.T))[op.n_modes :]
 
 
 def physicality_tolerance(op: GaussianOperator) -> float:
@@ -245,20 +246,19 @@ def require_finite_nonnegative(value, name: str) -> None:
 
 
 def require_efficiency(value, name: str) -> None:
-    """Reject an efficiency, or an array with an element, outside (0, 1] or NaN."""
+    """Reject an efficiency, or an array element, that is NaN, outside (0, 1] or at most 2^-1024."""
     require_all((0.0 < value) & (value <= 1.0), f"{name} must lie in (0, 1]")
+    tiny = value <= 2.0**-1024  # exactly where (1 - eta) / eta, rounded as 1 / eta, overflows
+    if tiny.any() if isinstance(tiny, np.ndarray) else tiny:
+        eta = np.asarray(value)[tiny].flat[0].item()
+        raise ValueError(f"{name} {eta!r} is too small: its record noise overflows")
 
 
 def require_detector_efficiency(value, name: str) -> float:
-    """``value`` as the float efficiency eta of one detector: one number in
-    (0, 1] whose excess noise (1 - eta) / eta, and so the record noise, is
-    finite.  ValueError naming ``name`` otherwise."""
+    """``value`` as one detector's float efficiency, one number ``require_efficiency`` passes."""
     require_all(np.ndim(value) == 0, f"{name} must be one number, not an array")
     require_efficiency(value, name)
-    eta = float(value)
-    if (1.0 - eta) / eta == math.inf:
-        raise ValueError(f"{name} {eta!r} is too small: its record noise overflows")
-    return eta
+    return float(value)
 
 
 def elementwise(f, x):
@@ -376,7 +376,7 @@ def squeezing_from_photon_number(n: float) -> float:
 
 def displace(op: GaussianOperator, mode: int, alpha) -> GaussianOperator:
     """Displace one mode by ``alpha``; an array of amplitudes gives a family."""
-    _mode_block(mode, op.n_modes)
+    mode_block(mode, op.n_modes)
     # each amplitude, as a complex pair, is the shift of its mode's (x, y)
     shift = np.asarray(alpha, dtype=complex)[..., None]
     if op.n_modes > 1:

@@ -40,6 +40,7 @@ from .gaussian import (
     as_finite_array,
     from_factor,
     lower_factor,
+    mode_block,
     normal_density,
     require_all,
     require_count,
@@ -175,9 +176,7 @@ def _update(state: GaussianOperator, setting):
     K = G S^-1/2 the gain and L_k' the kept modes' factor given y.  Returns
     C z, the kept modes' mean, K, S^1/2 and L_k'."""
     mode, block, noise = setting._model
-    if mode >= state.n_modes:
-        raise ValueError(f"mode {mode} out of range for {state.n_modes} modes")
-    factor, measured = state.factor, slice(2 * mode, 2 * mode + 2)
+    factor, measured = state.factor, mode_block(mode, state.n_modes)
     # a view when the first mode is measured, as both protocols do
     kept = slice(2, None) if mode == 0 else np.r_[: 2 * mode, 2 * mode + 2 : len(factor)]
     m, k = noise.shape

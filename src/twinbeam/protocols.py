@@ -9,7 +9,8 @@ Two protocols share the twin beam as their entanglement resource:
   measurement against the input state is taken on one of them, and the
   record is undone by a corrective displacement of the other.  The
   surviving imperfection is one number, kappa^2, added as kappa^2/2 of
-  extra variance per quadrature of the teleported state.
+  extra variance per quadrature of the teleported state.  Its one closed
+  form, ``TeleportConfig.kappa_sq``, takes r, M and eta as checked on entry.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import LossChannel, effective_kappa_contribution, evolve
+from .channels import LossChannel, evolve
 from .gaussian import (
     GaussianOperator,
     coherent,
@@ -101,12 +102,11 @@ class TeleportConfig:
     @property
     def kappa_sq(self) -> float:
         """Total added noise e^{-gamma_t - 2r} + (2M+1)(1 - e^{-gamma_t})
-        + (1 - eta)/eta; ValueError where it overflows."""
-        with np.errstate(over="ignore"):
-            kappa = (
-                effective_kappa_contribution(self.r, self.channel())
-                + (1.0 - self.eta) / self.eta
-            )
+        + (1 - eta)/eta, of finite terms; ValueError where their sum overflows."""
+        r, m, eta, t = self.r, self.thermal_photons, self.eta, self.channel().transmission
+        with np.errstate(over="ignore"):  # the terms are finite; their sum may overflow
+            kappa = (t * elementwise(math.exp, -2.0 * r) + (2.0 * m + 1.0) * (1.0 - t)
+                     + (1.0 - eta) / eta)
         require_all(kappa < math.inf, "kappa_sq overflows")
         return kappa
 
@@ -122,7 +122,7 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
 
     Args:
         r: twin-beam squeezing parameter, r >= 0.
-        eta: homodyne efficiency in (0, 1].
+        eta: homodyne efficiency in (0, 1], with a finite (1 - eta)/eta.
         x: recorded quadrature value.
 
     The prepared state is squeezed iff eta > 1/2 (for any r > 0); at
@@ -131,10 +131,9 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
     point equal to its scalar call.  Raises ValueError for non-finite
     inputs and where the closed forms overflow, naming the first such point.
     """
-    require_finite_nonnegative(r, "r")
+    n = photon_number(r)  # which checks r
     require_efficiency(eta, "eta")
     require_all(abs(x) < math.inf, "x must be finite")
-    n = photon_number(r)
     a_x = eta * elementwise(math.sqrt, n * (n + 2.0)) * x / (1.0 + eta * n)
     finite = abs(a_x) < math.inf
     if not (finite.all() if isinstance(finite, np.ndarray) else finite):
@@ -174,14 +173,14 @@ def eta_threshold(r, gamma_t, thermal_photons=0.0):
     (thermal_photons = 0) a threshold always exists.  Array arguments
     broadcast to an object array of such values.
     """
-    channel = LossChannel(gamma_t, thermal_photons)
-    a = effective_kappa_contribution(r, channel)
+    config = TeleportConfig(r, gamma_t, thermal_photons)
+    a = config.kappa_sq  # at eta = 1 the detector term is exactly +0.0
     # min(1, 1/(2 - a)) = 1/(2 - min(a, 1))
     threshold = np.asarray(1.0 / (2.0 - np.fmin(a, 1.0))).astype(object)
     # a > 1 <=> 2M (1 - e^{-gamma_t}) > e^{-gamma_t} (1 - e^{-2r}), negated: expm1 cancels
     # on neither side, and at M = 0 the left side is exactly 0, so a vacuum bath never fails
     bath = 2.0 * thermal_photons * elementwise(math.expm1, -gamma_t)
-    threshold[bath < channel.transmission * elementwise(math.expm1, -2.0 * r)] = IMPOSSIBLE
+    threshold[bath < config.channel().transmission * elementwise(math.expm1, -2.0 * r)] = IMPOSSIBLE
     return threshold if threshold.ndim else threshold.item()
 
 

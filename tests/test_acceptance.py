@@ -21,7 +21,6 @@ from twinbeam import (
     coherent,
     condition_homodyne,
     decompose_single_mode,
-    effective_kappa_contribution,
     eta_threshold,
     evolve,
     fidelity_coherent,
@@ -165,7 +164,7 @@ def test_05_kappa_decomposition():
                         damped.cov[0, 0] + damped.cov[2, 2] - 2.0 * damped.cov[0, 2]
                     )
                     assert 4.0 * var_minus == pytest.approx(
-                        effective_kappa_contribution(r, channel), abs=1e-12
+                        TeleportConfig(r, gamma_t, m).kappa_sq, abs=1e-12
                     )
                     for eta in (0.7, 1.0):
                         config = TeleportConfig(

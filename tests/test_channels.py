@@ -1,15 +1,18 @@
 """Damping channel: frozen examples, semigroup law, fixed point."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     LossChannel,
     coherent,
+    TeleportConfig,
     displace,
-    effective_kappa_contribution,
     evolve,
     is_physical,
     squeeze,
@@ -36,6 +39,28 @@ class TestLossChannel:
     def test_validation(self, gamma_t, m):
         with pytest.raises(ValueError):
             LossChannel(gamma_t=gamma_t, thermal_photons=m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gamma_t=st.floats(0.0, allow_infinity=False) | st.sampled_from([1e-300, 0.1, 1e300]),
+        m=st.floats(0.0, allow_infinity=False),
+        as_array=st.booleans(),
+    )
+    # 2M + 1 is finite exactly up to M = float max / 2: the largest bath that builds, the
+    # smallest that does not, and M = 1e308, whose added variance was inf * 0 = NaN
+    @example(gamma_t=0.0, m=0.5 * sys.float_info.max, as_array=False)
+    @example(gamma_t=0.0, m=0.5 * sys.float_info.max, as_array=True)
+    @example(gamma_t=0.0, m=math.nextafter(0.5 * sys.float_info.max, math.inf), as_array=False)
+    @example(gamma_t=0.0, m=1e308, as_array=True)
+    def test_every_channel_that_builds_has_finite_figures(self, gamma_t, m, as_array):
+        gamma_t, m = (np.array([0.0, v]) if as_array else v for v in (gamma_t, m))
+        if 2.0 * float(np.max(m)) + 1.0 == math.inf:
+            with pytest.raises(ValueError, match=r"^the channel noise \(2M \+ 1\)\(1 - e\^\{-gamma_t\}\) overflows$"):
+                LossChannel(gamma_t, m)
+            return
+        channel = LossChannel(gamma_t, m)
+        assert np.isfinite(channel.transmission).all()
+        assert np.isfinite(channel.added_variance).all()
 
 
 class TestEvolve:
@@ -113,10 +138,9 @@ class TestEvolve:
 
 
 class TestKappaContribution:
+    # at eta = 1, kappa^2 is the squeezing and channel damping contribution alone
     def test_frozen_example(self):
-        assert effective_kappa_contribution(
-            LN2, LossChannel(LN2, 1.0)
-        ) == pytest.approx(1.625, abs=1e-13)
+        assert TeleportConfig(LN2, LN2, 1.0).kappa_sq == pytest.approx(1.625, abs=1e-13)
 
     @pytest.mark.parametrize("r", [0.0, LN2, 2.0])
     @pytest.mark.parametrize("gamma_t", [0.0, LN2, 1.0])
@@ -124,13 +148,13 @@ class TestKappaContribution:
     def test_equals_four_times_evolved_variance(self, r, gamma_t, m):
         ch = LossChannel(gamma_t, m)
         evolved = evolve(twb(r), ch)
-        assert effective_kappa_contribution(r, ch) == pytest.approx(
+        assert TeleportConfig(r, gamma_t, m).kappa_sq == pytest.approx(
             4.0 * _sigma_minus_sq(evolved), abs=1e-12
         )
 
     def test_rejects_negative_squeezing(self):
         with pytest.raises(ValueError):
-            effective_kappa_contribution(-0.1, LossChannel(0.2))
+            TeleportConfig(-0.1, 0.2).kappa_sq
 
     def test_thermal_input_relaxes_monotonically(self):
         # variance moves toward the bath value from either side

@@ -456,6 +456,7 @@ class TestMain:
             ["teleport", "--r", "0.5", "--seed", "5"],  # --seed is gone
             ["teleport", "--r", "0.3", "--M", "1e308", "--gamma-t", "0,0.1"],  # 2M + 1 overflows
             ["teleport", "--r", "0.3", "--eta", "5e-324"],  # (1 - eta)/eta overflows
+            ["remote-prep", "--r", "0.5", "--eta", "5e-324"],  # not a density of 0.0
             ["oracle-check", "--cutoff", "30.9"],  # not an integer
             ["teleport", "--r", "0.5", "--format", "xml"],
             ["teleport", "--r", "0:inf:3"],  # a range's span must be finite
@@ -524,6 +525,22 @@ class TestMain:
             assert main([command, *base[command], "--spec", str(broken)]) == 2, payload
             assert "error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [broken]
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("teleport", {"r": [0.5, 10**400]}),
+            ("teleport", {"r": {"start": 10**400, "stop": 1, "count": 2}}),
+            ("oracle-check", {"lam": 10**400}),
+        ],
+    )
+    def test_spec_integer_too_large_for_a_float_exits_two(self, command, payload, tmp_path, capsys):
+        # a usage error, not an OverflowError: for oracle-check, exit 1 means a failed row
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(payload))
+        assert main([command, "--spec", str(spec)]) == 2
+        flag = "--" + next(iter(payload))
+        assert capsys.readouterr().err == f"error: {flag} expects numbers within float range\n"
 
 
 def _csv(rows, columns) -> str:

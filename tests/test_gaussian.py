@@ -347,13 +347,27 @@ class TestRequireEfficiency:
             (lambda v: HomodyneSetting(efficiency=v), "efficiency"),
             (lambda v: DoubleHomodyneSetting(coherent(0.0), v), "efficiency"),
             (lambda v: condition_fock(twb_fock(0.3, 10), 0.1, v), "eta"),
+            (lambda v: TeleportConfig(0.5, eta=v), "eta"),
+            (lambda v: remote_prep(0.5, v, 0.1), "eta"),
+            (lambda v: TeleportConfig(0.5, eta=np.array([0.9, v])), "eta"),
+            (lambda v: remote_prep(0.5, np.array([[0.9], [v]]), 0.1), "eta"),
         ],
     )
     def test_every_detector_rejects_an_overflowing_noise(self, site, name, value):
         # (1 - eta) / eta overflows: a ValueError naming the efficiency, not
-        # a zero conditional mean, infinite draws or a RuntimeWarning
-        with pytest.raises(ValueError, match=rf"^{name} \S+ is too small: its record noise overflows$"):
+        # a zero conditional mean, infinite draws, a zero density or a RuntimeWarning
+        with pytest.raises(ValueError, match=rf"^{name} {float(value)!r} is too small: its record noise overflows$"):
             site(value)
+
+    def test_noise_overflows_exactly_at_and_below_two_to_the_minus_1024(self):
+        edge = math.ldexp(1.0, -1024)
+        above = math.nextafter(edge, 1.0)
+        assert (1.0 - edge) / edge == math.inf > (1.0 - above) / above
+        for value in (above, np.array([1.0, above])):
+            gaussian.require_efficiency(value, "eta")
+        for value in (edge, np.array([above, edge, 5e-324])):
+            with pytest.raises(ValueError, match=rf"^eta {edge!r} is too small"):
+                gaussian.require_efficiency(value, "eta")
 
     def test_settings_take_a_tiny_efficiency_whose_noise_is_finite(self):
         assert HomodyneSetting(efficiency=1e-300).noise_variance == pytest.approx(2.5e299)

@@ -153,7 +153,7 @@ class TestConditionHomodyne:
     def test_validation(self):
         with pytest.raises(ValueError):
             condition_homodyne(vacuum(1), HomodyneSetting(mode=0), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mode index 2 out of range for 2 modes$"):
             condition_homodyne(twb(0.5), HomodyneSetting(mode=2), 0.0)
         with pytest.raises(UnphysicalStateError):  # the only way in for an unphysical state
             GaussianOperator(mean=np.zeros(4), cov=0.1 * np.eye(4))

@@ -23,7 +23,6 @@ from twinbeam import (
     decompose_single_mode,
     displace,
     double_homodyne_condition,
-    effective_kappa_contribution,
     eta_threshold,
     evolve,
     fidelity_coherent,
@@ -271,7 +270,7 @@ class TestEtaThreshold:
         t = math.exp(-gamma_t)
         for delta, impossible in ((1e-9, True), (-1e-9, False)):
             m = (t * -math.expm1(-2.0 * r) + delta) / (2.0 * -math.expm1(-gamma_t))
-            a = effective_kappa_contribution(r, LossChannel(gamma_t, m))
+            a = TeleportConfig(r, gamma_t, m).kappa_sq
             assert a - 1.0 == pytest.approx(delta, rel=1e-3)
             args = (np.array([r]), np.array([gamma_t]), np.array([m])) if as_array else (r, gamma_t, m)
             assert (IMPOSSIBLE in np.ravel(eta_threshold(*args))) == impossible
@@ -304,7 +303,7 @@ class TestEtaThreshold:
             eta_threshold(r, gamma_t, m)
 
     def test_threshold_matches_contribution(self):
-        a = effective_kappa_contribution(0.9, LossChannel(0.4, 0.6))
+        a = TeleportConfig(0.9, 0.4, 0.6).kappa_sq
         assert eta_threshold(0.9, 0.4, 0.6) == pytest.approx(1.0 / (2.0 - a), rel=1e-14)
 
 
@@ -327,7 +326,7 @@ class TestBroadcast:
             assert fidelity[i, j, k, n] == fidelity_coherent(config)
             assert threshold[i, j, k, 0] == eta_threshold(config.r, config.gamma_t, config.thermal_photons)
         # numbers still give Python floats
-        a = effective_kappa_contribution(0.9, LossChannel(0.4, 0.6))
+        a = TeleportConfig(0.9, 0.4, 0.6).kappa_sq
         assert type(a) is type(eta_threshold(0.9, 0.4, 0.6)) is type(TeleportConfig(0.9).kappa_sq) is float
 
     @pytest.mark.parametrize(
@@ -345,7 +344,8 @@ class TestBroadcast:
     @settings(max_examples=60, deadline=None)
     @given(
         r=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6),
-        eta=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+        # efficiencies whose excess noise (1 - eta)/eta is finite, as remote_prep requires
+        eta=st.lists(st.floats(math.ldexp(1.0, -1024), 1.0, exclude_min=True), min_size=1, max_size=4),
         x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
     )
     # 2 sinh(r)^2 with an array's ** 2 (x * x, not C pow) moves N here by 1 ulp
@@ -373,17 +373,17 @@ class TestOverflow:
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize("gamma_t", [0.0, 0.1])
     def test_bath_noise_overflow_raises(self, gamma_t, as_array):
-        # 2M + 1 overflows: inf * 0 at gamma_t = 0, inf beyond
+        # 2M + 1 overflows: inf * 0 at gamma_t = 0, inf beyond; the channel,
+        # and so every config and threshold, refuses it where it is built
         r, gamma_t, m = (np.array([v]) if as_array else v for v in (0.3, gamma_t, 1e308))
-        config = TeleportConfig(r, gamma_t, m)
-        for figure in (
-            lambda: effective_kappa_contribution(r, LossChannel(gamma_t, m)),
-            lambda: config.kappa_sq,
-            lambda: fidelity_coherent(config),
+        message = r"^the channel noise \(2M \+ 1\)\(1 - e\^\{-gamma_t\}\) overflows$"
+        for build in (
+            lambda: LossChannel(gamma_t, m),
+            lambda: TeleportConfig(r, gamma_t, m),
             lambda: eta_threshold(r, gamma_t, m),
         ):
-            with pytest.raises(ValueError, match="overflows"):
-                figure()
+            with pytest.raises(ValueError, match=message):
+                build()
 
     @pytest.mark.parametrize("as_array", [False, True])
     @pytest.mark.parametrize(
@@ -402,11 +402,18 @@ class TestOverflow:
 
     @pytest.mark.parametrize("eta", [5e-324, np.array([0.9, 5e-324])])
     def test_efficiency_noise_overflow_raises(self, eta):
-        config = TeleportConfig(0.3, eta=eta)
-        with pytest.raises(ValueError, match="overflows"):
-            config.kappa_sq
-        with pytest.raises(ValueError, match="overflows"):
-            fidelity_coherent(config)
+        # (1 - eta)/eta overflows: the config refuses eta where it is built
+        with pytest.raises(ValueError, match="^eta 5e-324 is too small: its record noise overflows$"):
+            TeleportConfig(0.3, eta=eta)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_kappa_sq_of_finite_terms_that_overflow_raises(self, as_array):
+        # each term is finite, their sum is not
+        r, gamma_t, m, eta = (np.array([v]) if as_array else v for v in (0.3, 50.0, 8e307, 1e-308))
+        config = TeleportConfig(r, gamma_t, m, eta)
+        for figure in (lambda: config.kappa_sq, lambda: fidelity_coherent(config)):
+            with pytest.raises(ValueError, match="^kappa_sq overflows$"):
+                figure()
 
 
 class TestMonteCarlo:
