@@ -28,17 +28,21 @@ with ``math``, and only exact arithmetic is broadcast.
 A table is computed in full (a usage error exits 2 before any output),
 then written in blocks of about ``TABLE_BLOCK`` rows as they are
 formatted; a closed pipe exits 141 quietly, any other write error exits 2.
+A table of more than one block, written to a file descriptor where ``os.fork``
+exists, is written by two processes in turn: once the first block is out, a
+child formats the odd blocks and the parent the even ones, so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,12 +259,13 @@ def _format_cells(values: np.ndarray, as_json: bool = False) -> np.ndarray:
     return np.array(list(text), dtype=object).reshape(values.shape)
 
 
-def _broadcast_cells(table: Table, columns, as_json: bool = False):
+def _broadcast_cells(table: Table, columns, as_json: bool = False, share=(0, 1)):
     """Blocks of about ``TABLE_BLOCK`` rows in row order, each a list of
     the columns' text over its rows.  A block slices the leading axes down
     to the first whose inner rows fit, so a short leading axis still splits.
     Each column is formatted at its own shape (once, if it does not vary
-    along the sliced axes) and broadcast."""
+    along the sliced axes) and broadcast.  Of ``share = (i, n)`` writers,
+    writer i formats blocks i, i + n, ...; the others are None."""
     shape = table.shape or (1,)  # a 0-d table is one row
     if not columns or not math.prod(shape):
         return
@@ -273,18 +278,18 @@ def _broadcast_cells(table: Table, columns, as_json: bool = False):
     def part(v, index):  # v's own cells in the block
         return v[tuple(i if n > 1 else slice(None) for i, n in zip(index, v.shape))]
 
-    for lead in np.ndindex(*shape[:cut]):
-        for start in range(0, shape[cut], step):
-            index = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
-            rows = (1,) * cut + (min(step, shape[cut] - start),) + shape[cut + 1 :]
-            cells = (
-                _format_cells(part(v, index), as_json) if s else v for v, s in zip(values, split)
-            )
-            yield [np.broadcast_to(c, rows).ravel().tolist() for c in cells]
+    blocks = itertools.product(np.ndindex(*shape[:cut]), range(0, shape[cut], step))
+    for k, (lead, start) in enumerate(blocks):
+        index = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
+        rows = (1,) * cut + (min(step, shape[cut] - start),) + shape[cut + 1 :]
+        cells = (_format_cells(part(v, index), as_json) if s else v for v, s in zip(values, split))
+        owned = k % share[1] == share[0]  # cells is lazy: another writer's block costs nothing
+        yield [np.broadcast_to(c, rows).ravel().tolist() for c in cells] if owned else None
 
 
-def _pieces(table: Table, columns, as_json: bool = False):
-    """CSV or JSON text of ``columns``, one piece per block of rows."""
+def _pieces(table: Table, columns, as_json: bool = False, share=(0, 1)):
+    """CSV or JSON text of ``columns``, one piece per block of rows and a
+    last one: of ``share = (i, n)`` writers, the pieces i, i + n, ..."""
     if as_json:
         keys = (json.dumps(name).replace("%", "%%") for name in columns)
         row = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }").__mod__
@@ -292,10 +297,13 @@ def _pieces(table: Table, columns, as_json: bool = False):
     else:
         head = ",".join(columns) + "\n"
         row, sep, tail, last = ",".join, "\n", "\n", head  # last: an empty table's text
-    for cells in _broadcast_cells(table, columns, as_json):
-        yield head + sep.join(map(row, zip(*cells)))
+    k = 0
+    for k, cells in enumerate(_broadcast_cells(table, columns, as_json, share), 1):
+        if cells is not None:
+            yield head + sep.join(map(row, zip(*cells)))
         head, last = sep, tail
-    yield last
+    if k % share[1] == share[0]:
+        yield last
 
 
 def rows_to_csv(table: Table, columns) -> str:
@@ -447,6 +455,58 @@ def _run(command: str, values: dict) -> tuple[Table, tuple[str, ...]]:
     return run_remote_prep_sweep(SweepSpec(**values)), REMOTE_PREP_COLUMNS
 
 
+def _write_all(fd: int, text: str) -> None:
+    """``text`` to ``fd`` in UTF-8; a short write goes on where it stopped."""
+    data = memoryview(text.encode())
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _write(table: Table, columns, as_json: bool, out: str) -> int:
+    """Write the table to ``out`` by one process or two (see above); the
+    exit code: 141 for a closed pipe, 2 for any other error."""
+    name = "stdout" if out in ("stdout", "-") else out
+    code, pid, turn = 1, None, None  # pid is 0 in the child only
+    try:
+        with nullcontext(sys.stdout) if name == "stdout" else open(out, "wb") as fh:
+            fh.flush()  # text an in-process caller printed goes first
+            fd = None
+            with suppress(ValueError):  # io.UnsupportedOperation: an in-memory stdout has none
+                fd = fh.fileno()
+            write = fh.write if fd is None else lambda text: _write_all(fd, text)
+            forks = fd is not None and math.prod(table.shape) > TABLE_BLOCK and hasattr(os, "fork")
+            pieces = _pieces(table, columns, as_json, (0, 1 + forks))
+            write(next(pieces))  # the first block goes out before any fork
+            if forks:
+                (child_r, parent_w), (parent_r, child_w) = os.pipe(), os.pipe()
+                os.write(parent_w, b"t")  # the child writes next
+                pid = os.fork()
+                os.close(child_w if pid else parent_w)  # the other writer's exit ends our reads
+                turn = (parent_r, parent_w) if pid else (child_r, child_w)
+                pieces = pieces if pid else _pieces(table, columns, as_json, (1, 2))
+            for piece in pieces:
+                if turn and not os.read(turn[0], 1):
+                    break  # the other writer stopped, and says why
+                write(piece)
+                if turn:  # cannot fail: each process holds both read ends
+                    os.write(turn[1], b"t")
+            code = 0
+    except BrokenPipeError:  # the reader has gone
+        code = 141
+    except (Exception if pid == 0 else OSError) as exc:  # os._exit drops a child's traceback
+        print(f"error: cannot write {name}: {exc}", file=sys.stderr, flush=True)
+        code = 2
+    finally:
+        if pid == 0:
+            os._exit(code)
+        if pid:  # a child waiting for its turn reads the end of parent_w and exits
+            for end in (parent_w, parent_r, child_r):
+                os.close(end)
+            child = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # reaped in every case
+            code = code or child
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -471,21 +531,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    to_stdout = out in ("stdout", "-")
-    try:
-        with nullcontext(sys.stdout) if to_stdout else open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(_pieces(table, columns, as_json=fmt == "json"))
-            fh.flush()
-    except OSError as exc:
-        if to_stdout:  # silence the flush at exit
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            if isinstance(exc, BrokenPipeError):  # the reader has gone
-                return 141
-        print(f"error: cannot write {'stdout' if to_stdout else out}: {exc}", file=sys.stderr)
-        return 2
-    if command == "oracle-check" and not table.columns["pass"].all():
-        return 1
-    return 0
+    failed = command == "oracle-check" and not table.columns["pass"].all()
+    return _write(table, columns, fmt == "json", out) or int(failed)
 
 
 if __name__ == "__main__":

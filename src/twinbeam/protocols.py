@@ -93,11 +93,11 @@ class TeleportConfig:
     def __post_init__(self):
         require_finite_nonnegative(self.r, "r")
         require_efficiency(self.eta, "eta")
-        # LossChannel validates gamma_t and thermal_photons
-        self.channel()
+        # LossChannel validates gamma_t and thermal_photons, once: the config keeps it
+        object.__setattr__(self, "_channel", LossChannel(self.gamma_t, self.thermal_photons))
 
     def channel(self) -> LossChannel:
-        return LossChannel(gamma_t=self.gamma_t, thermal_photons=self.thermal_photons)
+        return self._channel
 
     @property
     def kappa_sq(self) -> float:

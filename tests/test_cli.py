@@ -1,5 +1,6 @@
 """CLI: grids, table formatting, spec files, exit codes."""
 
+import errno
 import json
 import math
 import os
@@ -305,8 +306,8 @@ class TestStreamedTables:
         assert main(argv) == 1
         assert capsys.readouterr().out.splitlines()[2].endswith("false")
 
-    def test_closed_pipe_exits_141_quietly(self):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    def test_closed_pipe_exits_141_quietly(self, unbuffered=""):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
         argv = ["teleport", "--r", "0:2:100", "--gamma-t", "0:1:50", "--eta", "0.5:1:4"]  # ~3 MB of CSV
         proc = subprocess.Popen(
@@ -320,6 +321,10 @@ class TestStreamedTables:
         finally:
             proc.kill()
         assert (proc.returncode, err) == (141, b"")
+
+    def test_closed_pipe_exits_141_quietly_unbuffered(self):
+        # a raw stdout: each short write goes on where it stopped
+        self.test_closed_pipe_exits_141_quietly(unbuffered="1")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -335,6 +340,54 @@ class TestStreamedTables:
         assert proc.returncode == 2
         assert err.startswith("error: cannot write stdout: [Errno 28]")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestTwoWriters:
+    """A table of more than one block, written to a descriptor, is written
+    by this process and a child, each formatting every other block."""
+
+    ARGV = ["teleport", "--r", "0:1:6", "--gamma-t", "0:1:40", "--eta", "0.5:1:50"]  # 3 blocks
+
+    @pytest.mark.parametrize("to", ["stdout", "out"])
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_failing_writer_ends_the_run(self, failing, to, tmp_path, capfd, monkeypatch):
+        # a block of the child fails to format, or any block of the parent after the first to write
+        parent, format_cells, write_all = os.getpid(), cli._format_cells, cli._write_all
+
+        def format_in_parent(values, as_json=False):
+            if os.getpid() != parent:
+                raise RuntimeError("a block of the child fails")
+            return format_cells(values, as_json)
+
+        def fail_after_the_header_in_parent(fd, text):
+            if os.getpid() == parent and not text.startswith("r,"):
+                raise OSError(errno.ENOSPC, "a block of the parent fails")
+            write_all(fd, text)
+
+        if failing == "child":
+            monkeypatch.setattr(cli, "_format_cells", format_in_parent)
+        else:
+            monkeypatch.setattr(cli, "_write_all", fail_after_the_header_in_parent)
+        argv = self.ARGV + (["--out", str(tmp_path / "table")] if to == "out" else [])
+        assert main(argv) == 2
+        err = capfd.readouterr().err
+        assert err.count("\n") == 1 and f"a block of the {failing} fails" in err
+        with pytest.raises(ChildProcessError):  # the child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_writer_otherwise(self, tmp_path, capsys, monkeypatch):
+        # an in-memory stdout, a table of one block, or no os.fork: no child
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert main(self.ARGV) == 0
+        whole = capsys.readouterr().out
+        assert main(["teleport", "--r", "0:1:4096", "--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one").read_text().count("\n") == cli.TABLE_BLOCK + 1
+        monkeypatch.delattr(os, "fork")
+        assert main(self.ARGV + ["--out", str(tmp_path / "table")]) == 0
+        assert (tmp_path / "table").read_text() == whole
 
 
 class TestTableMemory:

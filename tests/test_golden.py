@@ -3,9 +3,12 @@
 Every refactor must leave the tables byte-identical (the determinism
 contract in ``cli.py``) and the Monte Carlo estimates unchanged to the
 last bit.  Each argv runs in process through ``cli.main`` in CSV and in
-JSON, and its output is held to a SHA-256 digest.  ``oracle-check``'s
+JSON, and its output is held to a SHA-256 digest, also when written
+through ``--out`` (two processes write a table of more than one block)
+and, for one table, through a pipe to a subprocess.  ``oracle-check``'s
 error columns are differences of rounded numbers, so only its grid and
-verdict columns are pinned and the errors are bounded.
+verdict columns are pinned and the errors are bounded.  Both samplers'
+first draws are pinned to the last bit as well.
 
 A change that moves a digest updates it in the same diff and says in
 CHANGES.md which table and columns moved, by how much and why.
@@ -15,10 +18,25 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from twinbeam import TeleportConfig, teleport_monte_carlo
+from twinbeam import (
+    DoubleHomodyneSetting,
+    HomodyneSetting,
+    LossChannel,
+    TeleportConfig,
+    coherent,
+    evolve,
+    sample_double_homodyne,
+    sample_homodyne,
+    teleport_monte_carlo,
+    twb,
+)
+from twinbeam import cli
 from twinbeam.cli import main
 
 # name: (argv, CSV digest, JSON digest); {tmp} is a per-test directory
@@ -123,6 +141,35 @@ def test_table(name, tmp_path, capsys):
     assert _digest(_output(argv, "json", tmp_path, capsys)) == json_digest
 
 
+@pytest.mark.parametrize("name", TABLES)
+def test_table_through_out_file(name, tmp_path, capsys):
+    # a file descriptor: a table of more blocks than one is written by two processes
+    argv, csv_digest, json_digest = TABLES[name]
+    argv = argv if "--out" in argv else argv + ["--out", "{tmp}/sweep"]
+    assert _digest(_output(argv, "csv", tmp_path, capsys)) == csv_digest
+    assert _digest(_output(argv, "json", tmp_path, capsys)) == json_digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_through_a_pipe(fmt):
+    argv, *digests = TABLES["teleport-20k"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinbeam.cli", *argv, "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, timeout=60, check=True,
+    )
+    assert proc.stderr == b""
+    assert hashlib.sha256(proc.stdout).hexdigest() == digests[fmt == "json"]
+
+
+def test_short_writes_go_on(tmp_path, capsys, monkeypatch):
+    # a descriptor may take less than it is given, as an unbuffered stdout's can
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1000]))
+    argv, csv_digest, _ = TABLES["teleport-20k"]
+    assert _digest(_output(argv + ["--out", "{tmp}/sweep"], "csv", tmp_path, capsys)) == csv_digest
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_oracle_check(fmt, tmp_path, capsys):
     text = _output(["oracle-check"], fmt, tmp_path, capsys)
@@ -141,3 +188,47 @@ def test_oracle_check(fmt, tmp_path, capsys):
 )
 def test_estimate(z, config, n_samples, seed, pinned):
     assert float.hex(teleport_monte_carlo(z, config, n_samples, seed)) == pinned
+
+
+# float.hex of the first draws of both samplers from one lossy twin beam:
+# seed -> (one homodyne record, three; one double-homodyne record, three),
+# a complex record as its (real, imaginary) pair
+DRAWS = {
+    3: (
+        "0x1.3e756659e3c62p-1",
+        ["0x1.3e756659e3c62p-1", "0x1.a28f1b898cba4p-6", "-0x1.e392db530bcc7p-1"],
+        ("-0x1.19c4e97dcb1b0p-2", "0x1.e183b9018368ap-2"),
+        [
+            ("-0x1.19c4e97dcb1b0p-2", "0x1.e183b9018368ap-2"),
+            ("-0x1.0ce20dae0a162p+1", "-0x1.a35e7416bbd0cp-3"),
+            ("0x1.4d54408a96640p-3", "-0x1.3d7ce4cd49060p-2"),
+        ],
+    ),
+    901: (
+        "0x1.3b37c30a12088p-1",
+        ["0x1.3b37c30a12088p-1", "0x1.ddac365464126p-5", "-0x1.c1952b7393283p+0"],
+        ("-0x1.21528c2db0a8ep-2", "0x1.ba6b06dbda8a8p-2"),
+        [
+            ("-0x1.21528c2db0a8ep-2", "0x1.ba6b06dbda8a8p-2"),
+            ("-0x1.85f5db0f8c3bcp+1", "-0x1.2a9d16c3fb7fep-1"),
+            ("-0x1.845c5c4575734p+0", "0x1.8ee489df23f32p-3"),
+        ],
+    ),
+}
+
+
+def _hex(record) -> tuple[str, str]:
+    record = complex(record)
+    return float.hex(record.real), float.hex(record.imag)
+
+
+@pytest.mark.parametrize("seed", DRAWS)
+def test_sampler_draws(seed):
+    state = evolve(twb(0.8), LossChannel(0.1, 0.2))
+    homodyne = HomodyneSetting(0, 0.3, 0.8)
+    double = DoubleHomodyneSetting(coherent(1.0 - 0.5j), 0.9)
+    x, xs, alpha, alphas = DRAWS[seed]
+    assert float.hex(sample_homodyne(state, homodyne, seed)) == x
+    assert [float.hex(v) for v in sample_homodyne(state, homodyne, seed, 3)] == xs
+    assert _hex(sample_double_homodyne(state, double, seed)) == alpha
+    assert [_hex(v) for v in sample_double_homodyne(state, double, seed, 3)] == alphas
