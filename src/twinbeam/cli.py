@@ -25,12 +25,13 @@ Identical parameters give byte-identical tables, equal to the scalar
 library functions formatted row by row: every transcendental is taken
 with ``math``, and only exact arithmetic is broadcast.
 
-A table is computed in full (a usage error exits 2 before any output),
-then written in blocks of about ``TABLE_BLOCK`` rows as they are
-formatted; a closed pipe exits 141 quietly, any other write error exits 2.
-A table of more than one block, written to a file descriptor where ``os.fork``
-exists, is written by two processes in turn: once the first block is out, a
-child formats the odd blocks and the parent the even ones, so the bytes are the same.
+A table is computed in full (a usage error exits 2 before any output), then
+written as one stream of pieces, each made when called: the head with the first
+block of about ``TABLE_BLOCK`` rows, each further block, the end.  A closed pipe
+exits 141 quietly, any other write error exits 2.  A table of more than one block,
+written to a file descriptor where ``os.fork`` exists, is written by two processes
+in turn: once the first piece is out the parent forks, and the two take alternate
+pieces of the same stream, each making its next before it waits for its turn.
 """
 
 from __future__ import annotations
@@ -259,37 +260,12 @@ def _format_cells(values: np.ndarray, as_json: bool = False) -> np.ndarray:
     return np.array(list(text), dtype=object).reshape(values.shape)
 
 
-def _broadcast_cells(table: Table, columns, as_json: bool = False, share=(0, 1)):
-    """Blocks of about ``TABLE_BLOCK`` rows in row order, each a list of
-    the columns' text over its rows.  A block slices the leading axes down
-    to the first whose inner rows fit, so a short leading axis still splits.
-    Each column is formatted at its own shape (once, if it does not vary
-    along the sliced axes) and broadcast.  Of ``share = (i, n)`` writers,
-    writer i formats blocks i, i + n, ...; the others are None."""
-    shape = table.shape or (1,)  # a 0-d table is one row
-    if not columns or not math.prod(shape):
-        return
-    cut = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= TABLE_BLOCK)
-    step = TABLE_BLOCK // math.prod(shape[cut + 1 :])
-    values = [v[(None,) * (len(shape) - v.ndim)] for v in map(table.columns.__getitem__, columns)]
-    split = [max(v.shape[: cut + 1]) > 1 for v in values]  # these are formatted per block
-    values = [v if s else _format_cells(v, as_json) for v, s in zip(values, split)]
-
-    def part(v, index):  # v's own cells in the block
-        return v[tuple(i if n > 1 else slice(None) for i, n in zip(index, v.shape))]
-
-    blocks = itertools.product(np.ndindex(*shape[:cut]), range(0, shape[cut], step))
-    for k, (lead, start) in enumerate(blocks):
-        index = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
-        rows = (1,) * cut + (min(step, shape[cut] - start),) + shape[cut + 1 :]
-        cells = (_format_cells(part(v, index), as_json) if s else v for v, s in zip(values, split))
-        owned = k % share[1] == share[0]  # cells is lazy: another writer's block costs nothing
-        yield [np.broadcast_to(c, rows).ravel().tolist() for c in cells] if owned else None
-
-
-def _pieces(table: Table, columns, as_json: bool = False, share=(0, 1)):
-    """CSV or JSON text of ``columns``, one piece per block of rows and a
-    last one: of ``share = (i, n)`` writers, the pieces i, i + n, ..."""
+def _pieces(table: Table, columns, as_json: bool = False):
+    """CSV or JSON text of ``columns`` as zero-argument calls, each making its
+    piece when called: the head with the first block of about ``TABLE_BLOCK``
+    rows, each further block in row order, then the end.  A block slices the
+    leading axes down to the first whose inner rows fit, so a short leading axis
+    still splits; it formats each column's own cells in it and broadcasts them."""
     if as_json:
         keys = (json.dumps(name).replace("%", "%%") for name in columns)
         row = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }").__mod__
@@ -297,24 +273,32 @@ def _pieces(table: Table, columns, as_json: bool = False, share=(0, 1)):
     else:
         head = ",".join(columns) + "\n"
         row, sep, tail, last = ",".join, "\n", "\n", head  # last: an empty table's text
-    k = 0
-    for k, cells in enumerate(_broadcast_cells(table, columns, as_json, share), 1):
-        if cells is not None:
-            yield head + sep.join(map(row, zip(*cells)))
-        head, last = sep, tail
-    if k % share[1] == share[0]:
-        yield last
+    shape = table.shape or (1,)  # a 0-d table is one row
+    if columns and math.prod(shape):
+        cut = next(k for k in range(len(shape)) if math.prod(shape[k + 1 :]) <= TABLE_BLOCK)
+        step = TABLE_BLOCK // math.prod(shape[cut + 1 :])
+        values = [v[(None,) * (len(shape) - v.ndim)] for v in map(table.columns.__getitem__, columns)]
+        for lead, start in itertools.product(np.ndindex(*shape[:cut]), range(0, shape[cut], step)):
+            index = (*(slice(i, i + 1) for i in lead), slice(start, start + step))
+            rows = (1,) * cut + (min(step, shape[cut] - start),) + shape[cut + 1 :]
+            parts = [v[tuple(s if n > 1 else slice(None) for s, n in zip(index, v.shape))] for v in values]
+            def block(head=head, parts=parts, rows=rows):  # parts: each column's own cells, as views
+                cells = (np.broadcast_to(_format_cells(p, as_json), rows).ravel().tolist() for p in parts)
+                return head + sep.join(map(row, zip(*cells)))
+            yield block
+            head, last = sep, tail
+    yield lambda: last
 
 
 def rows_to_csv(table: Table, columns) -> str:
     """CSV text of ``columns``: the pieces ``main`` writes, joined."""
-    return "".join(_pieces(table, columns))
+    return "".join(piece() for piece in _pieces(table, columns))
 
 
 def rows_to_json(table: Table) -> str:
     """``json.dumps(table.rows(), indent=2)`` and a newline, with the cells
     put into one row template: the pieces ``main`` writes, joined."""
-    return "".join(_pieces(table, table.columns, as_json=True))
+    return "".join(piece() for piece in _pieces(table, table.columns, as_json=True))
 
 
 def _linspace(start: float, stop: float, count: int) -> tuple[float, ...]:
@@ -474,20 +458,20 @@ def _write(table: Table, columns, as_json: bool, out: str) -> int:
             with suppress(ValueError):  # io.UnsupportedOperation: an in-memory stdout has none
                 fd = fh.fileno()
             write = fh.write if fd is None else lambda text: _write_all(fd, text)
-            forks = fd is not None and math.prod(table.shape) > TABLE_BLOCK and hasattr(os, "fork")
-            pieces = _pieces(table, columns, as_json, (0, 1 + forks))
-            write(next(pieces))  # the first block goes out before any fork
-            if forks:
+            pieces = _pieces(table, columns, as_json)
+            write(next(pieces)())  # the first block goes out before any fork
+            if fd is not None and math.prod(table.shape) > TABLE_BLOCK and hasattr(os, "fork"):
                 (child_r, parent_w), (parent_r, child_w) = os.pipe(), os.pipe()
                 os.write(parent_w, b"t")  # the child writes next
                 pid = os.fork()
                 os.close(child_w if pid else parent_w)  # the other writer's exit ends our reads
                 turn = (parent_r, parent_w) if pid else (child_r, child_w)
-                pieces = pieces if pid else _pieces(table, columns, as_json, (1, 2))
+                pieces = itertools.islice(pieces, 1 if pid else 0, None, 2)  # the child's are 1, 3, ...
             for piece in pieces:
+                text = piece()  # made before the turn, so the two writers make text at once
                 if turn and not os.read(turn[0], 1):
                     break  # the other writer stopped, and says why
-                write(piece)
+                write(text)
                 if turn:  # cannot fail: each process holds both read ends
                     os.write(turn[1], b"t")
             code = 0

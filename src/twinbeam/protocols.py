@@ -103,10 +103,10 @@ class TeleportConfig:
     def kappa_sq(self) -> float:
         """Total added noise e^{-gamma_t - 2r} + (2M+1)(1 - e^{-gamma_t})
         + (1 - eta)/eta, of finite terms; ValueError where their sum overflows."""
-        r, m, eta, t = self.r, self.thermal_photons, self.eta, self.channel().transmission
-        with np.errstate(over="ignore"):  # the terms are finite; their sum may overflow
-            kappa = (t * elementwise(math.exp, -2.0 * r) + (2.0 * m + 1.0) * (1.0 - t)
-                     + (1.0 - eta) / eta)
+        r, eta, channel = self.r, self.eta, self.channel()
+        with np.errstate(over="ignore"):  # 4x the channel's term is exact; it and the sum may overflow
+            kappa = (channel.transmission * elementwise(math.exp, -2.0 * r)
+                     + 4.0 * channel.added_variance + (1.0 - eta) / eta)
         require_all(kappa < math.inf, "kappa_sq overflows")
         return kappa
 

@@ -375,6 +375,26 @@ class TestTwoWriters:
         with pytest.raises(ChildProcessError):  # the child was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_the_parent_formats_before_it_waits(self, tmp_path, monkeypatch):
+        # after the fork the parent makes its next block (piece 2 of 4) and only
+        # then waits for its turn, so the two writers format at once
+        parent, events = os.getpid(), []
+        format_cells, read, fork = cli._format_cells, os.read, os.fork
+
+        def record(event, call):
+            def recorded(*args):
+                if os.getpid() == parent:
+                    events.append(event)
+                return call(*args)
+            return recorded
+
+        monkeypatch.setattr(cli, "_format_cells", record("format", format_cells))
+        monkeypatch.setattr(os, "read", record("read", read))
+        monkeypatch.setattr(os, "fork", record("fork", fork))
+        assert main(self.ARGV + ["--out", str(tmp_path / "table")]) == 0
+        after = events[events.index("fork") + 1 :]
+        assert "format" in after and after.index("format") < after.index("read"), after
+
     def test_one_writer_otherwise(self, tmp_path, capsys, monkeypatch):
         # an in-memory stdout, a table of one block, or no os.fork: no child
         def fork():
