@@ -117,10 +117,7 @@ def twb_fock(lam: float, cutoff: int) -> FockVector:
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
     cutoff = _require_cutoff(cutoff)
-    amps = np.zeros((cutoff + 1, cutoff + 1))
-    amps[np.diag_indices(cutoff + 1)] = math.sqrt(1.0 - lam * lam) * lam ** np.arange(
-        cutoff + 1
-    )
+    amps = np.diag(math.sqrt(1.0 - lam * lam) * lam ** np.arange(cutoff + 1))
     return FockVector(cutoff=cutoff, amps=amps)
 
 

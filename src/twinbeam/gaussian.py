@@ -458,11 +458,7 @@ def decompose_single_mode(op: GaussianOperator) -> SqueezedThermalDecomposition:
     s_max, s_min = float(s[0]), float(s[1])
     n_th = max(0.0, 2.0 * s_min * s_max - 0.5)
     r = 0.5 * math.log(s_max / s_min)
-    if r < 1e-15:
-        phase = 0.0
-    else:
-        v = u[:, 1]
-        phase = math.atan2(v[1], v[0]) % math.pi
+    phase = 0.0 if r < 1e-15 else math.atan2(u[1, 1], u[0, 1]) % math.pi  # u's column for s_min
     return SqueezedThermalDecomposition(
         displacement=complex(op.mean[0], op.mean[1]),
         squeeze_r=r,

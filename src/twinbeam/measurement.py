@@ -18,11 +18,12 @@ states, gives the family of conditional states as one batched operator.
 One conditioning, one density and one sampler serve both detectors
 (``double_homodyne_condition`` and ``sample_double_homodyne`` are other
 names for them); beside ``_model``, a setting maps its records to offsets
-from the record mean, ``_shift``, and standard normal draws through S^1/2
-to records, ``_records``.  A complex record alpha = x + iy is the point
-(x, -y) from the transposed reference's mean: the conjugated records,
-viewed as float pairs, are the points with no copy.  Conditioning needs
-at least two modes; sampling takes one state.
+from the record mean, ``_shift``, and standard normal draws to records in
+place, ``_records``: elementwise through the lower-triangular S^1/2, with
+no matmul, so a record rounds alike at any batch size.  A complex record
+alpha = x + iy is the point (x, -y) from the transposed reference's mean:
+the conjugated records, viewed as float pairs, are the points with no
+copy.  Conditioning needs at least two modes; sampling takes one state.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class HomodyneSetting:
     def _records(self, draws, s_factor, record_mean):
         """The records of standard normal ``draws``, of shape (n, 1), through
         ``s_factor`` about ``record_mean``."""
-        return draws[:, 0] * s_factor[0, 0] + record_mean[0]  # as Generator.normal rounds
+        draws *= s_factor  # in place, (n, 1) by (1, 1): rounded as Generator.normal rounds
+        draws += record_mean
+        return draws[:, 0]
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,11 @@ class DoubleHomodyneSetting:
     def _records(self, draws, s_factor, record_mean):
         """The records whose POVM elements are centred at standard normal
         ``draws``, of shape (n, 2), through ``s_factor`` about ``record_mean``."""
-        alpha = (draws @ s_factor.T).view(complex)[:, 0]
+        x, y = draws.T  # S^1/2 is lower-triangular: y takes x's term before x is scaled
+        y *= s_factor[1, 1]
+        y += s_factor[1, 0] * x
+        x *= s_factor[0, 0]
+        alpha = draws.view(complex)[:, 0]
         alpha += complex(*(record_mean - self.transposed_reference.mean))
         return np.conjugate(alpha, out=alpha)
 

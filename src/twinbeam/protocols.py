@@ -144,7 +144,7 @@ def remote_prep(r: float, eta: float, x: float) -> RemotePrepResult:
     sigma2 = 0.25 * (1.0 + n)
     ratio = (1.0 + n) * (1.0 + eta * n) / (1.0 + n * (1.0 - eta))
     inv_purity = elementwise(math.sqrt, (1.0 + n) * (1.0 + n * (1.0 - eta)) / (1.0 + eta * n))
-    n_th = elementwise(lambda v: max(0.0, v), 0.5 * (inv_purity - 1.0))
+    n_th = 0.5 * (inv_purity - 1.0)  # >= 0 as rounded too: 1 + eta n rounds to at most 1 + n
     r_squeeze = 0.25 * elementwise(math.log, ratio)
     record_var = 0.25 * (1.0 + n) + (1.0 - eta) / (4.0 * eta)
     norm = elementwise(math.sqrt, 2.0 * math.pi * record_var)

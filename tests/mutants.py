@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 
 GOLDEN = "tests/test_golden.py::test_table"
+RECORD_COVARIANCE = "tests/test_measurement.py::TestDoubleHomodyne::test_record_covariance"
 
 MUTANTS = (
     Mutant(
@@ -94,6 +95,49 @@ MUTANTS = (
         "return (1.0 - self.efficiency) / (4.0 * self.efficiency)",
         "return (1.0 - self.efficiency) / (2.0 * self.efficiency)",
         ("tests/test_measurement.py::TestHomodyneSetting::test_noise_variance",),
+    ),
+    Mutant(
+        "sigma_1^2 with eta for 1 - eta",
+        "src/twinbeam/protocols.py",
+        "sigma1 = 0.25 * (1.0 + n * (1.0 - eta))",
+        "sigma1 = 0.25 * (1.0 + n * eta)",
+        ("tests/test_protocols.py::TestRemotePrep::test_frozen_example",
+         "tests/test_measurement.py::TestStrongSqueezing::test_conditioning_matches_remote_prep"),
+    ),
+    Mutant(
+        "the double-homodyne excess noise delta^2 for delta^2 / 2",
+        "src/twinbeam/measurement.py",
+        "math.sqrt(0.5 * self.delta_sq)",
+        "math.sqrt(self.delta_sq)",
+        (RECORD_COVARIANCE, "tests/test_measurement.py::TestTextbookConditioning::test_double_homodyne"),
+    ),
+    Mutant(
+        "the double-homodyne records' cross term dropped",
+        "src/twinbeam/measurement.py",
+        "        y += s_factor[1, 0] * x\n",
+        "",
+        (RECORD_COVARIANCE,),
+    ),
+    Mutant(
+        "the double-homodyne records' x scaled before y takes its term",
+        "src/twinbeam/measurement.py",
+        "        y *= s_factor[1, 1]\n        y += s_factor[1, 0] * x\n        x *= s_factor[0, 0]\n",
+        "        x *= s_factor[0, 0]\n        y *= s_factor[1, 1]\n        y += s_factor[1, 0] * x\n",
+        (RECORD_COVARIANCE,),
+    ),
+    Mutant(
+        "the decomposition's n_th clamp removed",
+        "src/twinbeam/gaussian.py",
+        "n_th = max(0.0, 2.0 * s_min * s_max - 0.5)",
+        "n_th = 2.0 * s_min * s_max - 0.5",
+        ("tests/test_gaussian.py::TestDecomposition::test_reconstruction_idempotent",),
+    ),
+    Mutant(
+        "the oscillator recurrence's sqrt(p) as sqrt(p + 1)",
+        "src/twinbeam/fock.py",
+        "math.sqrt(p) * out[p - 1]",
+        "math.sqrt(p + 1.0) * out[p - 1]",
+        ("tests/test_fock.py::TestWavefunction::test_explicit_low_orders",),
     ),
     Mutant(
         "the physicality rounding allowance 10x looser",

@@ -1,6 +1,7 @@
 """Homodyne and double-homodyne conditioning against closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from twinbeam.gaussian import GaussianOperator
 
 N_GRID = (0.1, 1.0, 5.0, 20.0)
 X_GRID = (-2.0, 0.0, 0.7, 1.3)
+# a squeezed, rotated reference: S^1/2 of its records has a cross term
+SQUEEZED_REFERENCE = squeeze(coherent(1.0 - 0.5j), 0, 1.0, 0.7)
 
 
 def _closed_forms(n: float, eta: float, x: float):
@@ -387,15 +390,49 @@ class TestDoubleHomodyne:
         assert float(np.mean(draws.imag)) == pytest.approx(0.5, abs=0.02)
 
     def test_block_draws_continue_one_stream(self):
-        # draws from one Generator in blocks concatenate to one call's draws
+        # draws from one Generator in blocks, single draws first, concatenate to
+        # one call's draws bit for bit, also where S^1/2 has a cross term (whose
+        # rounding in a matmul changed with the batch size)
         state = evolve(twb(0.8), LossChannel(0.1, 0.2))
-        setting = DoubleHomodyneSetting(reference=coherent(1.0 - 0.5j), efficiency=0.9)
         homodyne = HomodyneSetting(0, 0.3, 0.8)
         sizes = (1, 63, 64, 1000, 5)
-        for sampler, kind in ((sample_double_homodyne, setting), (sample_homodyne, homodyne)):
-            rng = np.random.Generator(np.random.Philox(42))
-            blocks = np.concatenate([sampler(state, kind, rng, k) for k in sizes])
-            assert (blocks == sampler(state, kind, 42, sum(sizes))).all()
+        for reference in (coherent(1.0 - 0.5j), SQUEEZED_REFERENCE):
+            setting = DoubleHomodyneSetting(reference=reference, efficiency=0.9)
+            for sampler, kind in ((sample_double_homodyne, setting), (sample_homodyne, homodyne)):
+                rng = np.random.Generator(np.random.Philox(42))
+                singles = [sampler(state, kind, rng) for _ in range(64)]
+                blocks = np.concatenate([singles, *(sampler(state, kind, rng, k) for k in sizes)])
+                assert (blocks == sampler(state, kind, 42, 64 + sum(sizes))).all()
+
+    @pytest.mark.parametrize(
+        "setting, bound",
+        [(DoubleHomodyneSetting(SQUEEZED_REFERENCE, 0.9), 1.5), (HomodyneSetting(0, 0.3, 0.8), 1.05)],
+        ids=["double_homodyne", "homodyne"],
+    )
+    def test_records_made_in_the_draws_buffer(self, setting, bound):
+        # the records take the draws' buffer: the double homodyne's one
+        # temporary is its cross term, half a record array; the homodyne has none
+        state = evolve(twb(0.8), LossChannel(0.1, 0.2))
+        sample_homodyne(state, setting, 1, 2)  # fills the setting's cached properties first
+        rng = np.random.Generator(np.random.Philox(5))
+        tracemalloc.start()
+        try:
+            records = sample_homodyne(state, setting, rng, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * records.nbytes + 2**13  # and the call's few small arrays
+
+    def test_record_covariance(self):
+        # the points (Re alpha, -Im alpha) have covariance S = the arm's
+        # + the transposed reference's + (delta^2 / 2) I, here within 6 standard errors
+        state = evolve(twb(0.8), LossChannel(0.1, 0.2))
+        setting = DoubleHomodyneSetting(SQUEEZED_REFERENCE, efficiency=0.9)
+        n = 200_000
+        alphas = sample_double_homodyne(state, setting, 17, n)
+        s = state.cov[:2, :2] + setting.transposed_reference.cov + 0.5 * setting.delta_sq * np.eye(2)
+        stderr = np.sqrt((np.outer(s.diagonal(), s.diagonal()) + s * s) / n)
+        assert (abs(np.cov(alphas.real, -alphas.imag) - s) <= 6.0 * stderr).all()
 
     @pytest.mark.parametrize("seed", [2.7, True, "3", -1, None])
     def test_seed_checked(self, seed):
