@@ -60,51 +60,3 @@ from .protocols import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConditionalOutcome",
-    "DegenerateOutcomeError",
-    "DoubleHomodyneSetting",
-    "FockMoments",
-    "FockVector",
-    "GaussianOperator",
-    "HomodyneSetting",
-    "IMPOSSIBLE",
-    "LossChannel",
-    "QuadratureGrid",
-    "RemotePrepResult",
-    "SqueezedThermalDecomposition",
-    "TeleportConfig",
-    "UnphysicalStateError",
-    "coherent",
-    "condition_fock",
-    "condition_homodyne",
-    "decompose_single_mode",
-    "displace",
-    "double_homodyne_condition",
-    "eta_threshold",
-    "evolve",
-    "fidelity_coherent",
-    "gauss_hermite_grid",
-    "homodyne_density",
-    "is_physical",
-    "moments_fock",
-    "overlap",
-    "photon_number",
-    "quadrature_wavefunction",
-    "remote_prep",
-    "rotate",
-    "sample_double_homodyne",
-    "sample_homodyne",
-    "squeeze",
-    "squeezing_from_photon_number",
-    "symplectic_eigenvalues",
-    "teleport_gaussian",
-    "teleport_monte_carlo",
-    "thermal",
-    "transpose_wigner",
-    "twb",
-    "twb_fock",
-    "vacuum",
-    "wigner_eval",
-]

@@ -14,6 +14,12 @@ R = ref_t.cov + (delta^2 / 2) I_2, the transposed reference broadened by
 the excess noise delta^2 = (1 - eta) / eta.  The conditional covariance
 does not depend on the record, so an array of records, or a family of
 states, gives the family of conditional states as one batched operator.
+That record-independent part, the gain, S^1/2 and the kept modes' factor,
+is computed once per (state factor, setting): a setting keeps it,
+read-only, for the last ``state.factor`` it met, and reuses it for any
+state whose factor is that same object, as a family's members, a
+displaced copy and ``with_mean`` share it.  Only the record mean and the
+kept mean are computed per call.
 
 One conditioning, one density and one sampler serve both detectors
 (``double_homodyne_condition`` and ``sample_double_homodyne`` are other
@@ -181,20 +187,26 @@ def _update(state: GaussianOperator, setting):
     L_k, one QR triangularizes [[sqrt(R), C L_z], [0, L_k]] to
     [[S^1/2, 0], [G, L_k']]: S = C L L^T C^T + R is the record covariance,
     K = G S^-1/2 the gain and L_k' the kept modes' factor given y.  Returns
-    C z, the kept modes' mean, K, S^1/2 and L_k'."""
+    C z, the kept modes' mean, K, S^1/2 and L_k'; the last three, read-only,
+    are remembered on ``setting`` with the factor L they came from."""
     mode, block, noise = setting._model
     factor, measured = state.factor, mode_block(mode, state.n_modes)
     # a view when the first mode is measured, as both protocols do
     kept = slice(2, None) if mode == 0 else np.r_[: 2 * mode, 2 * mode + 2 : len(factor)]
-    m, k = noise.shape
-    pre = np.zeros((len(factor) - 2 + m, len(factor) + k))
-    pre[:m, :k] = noise
-    pre[:m, k:] = block @ factor[measured]
-    pre[m:, k:] = factor[kept]
-    post = lower_factor(pre)
-    s_factor = post[:m, :m]
-    gain = np.linalg.solve(s_factor.T, post[m:, :m].T).T
-    return state.mean[..., measured] @ block.T, state.mean[..., kept], gain, s_factor, post[m:, m:]
+    memo = setting.__dict__.get("_memo")
+    if memo is None or memo[0] is not factor:  # factors are read-only: one object, one content
+        m, k = noise.shape
+        pre = np.zeros((len(factor) - 2 + m, len(factor) + k))
+        pre[:m, :k] = noise
+        pre[:m, k:] = block @ factor[measured]
+        pre[m:, k:] = factor[kept]
+        post = lower_factor(pre)
+        post.setflags(write=False)  # and so its views
+        gain = np.linalg.solve(post[:m, :m].T, post[m:, :m].T).T
+        gain.setflags(write=False)
+        memo = setting.__dict__["_memo"] = factor, gain, post[:m, :m], post[m:, m:]
+    _, gain, s_factor, kept_factor = memo
+    return state.mean[..., measured] @ block.T, state.mean[..., kept], gain, s_factor, kept_factor
 
 
 def homodyne_density(state: GaussianOperator, setting: HomodyneSetting | DoubleHomodyneSetting, x):

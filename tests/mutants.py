@@ -126,6 +126,27 @@ MUTANTS = (
         (RECORD_COVARIANCE,),
     ),
     Mutant(
+        "the kept update reused for any state factor",
+        "src/twinbeam/measurement.py",
+        "if memo is None or memo[0] is not factor:",
+        "if memo is None:",
+        ("tests/test_measurement.py::TestReusedUpdate::test_alternating_states_match_fresh_settings",),
+    ),
+    Mutant(
+        "the Kalman update's conditional factor 1e-9 too large",
+        "src/twinbeam/measurement.py",
+        "post[:m, :m], post[m:, m:]\n",
+        "post[:m, :m], post[m:, m:] * (1 + 1e-9)\n",
+        ("tests/test_measurement.py::TestTextbookConditioning::test_a_perturbed_model_disagrees",),
+    ),
+    Mutant(
+        "the Fock oracle's density floor lowered to zero",
+        "src/twinbeam/fock.py",
+        "if (density < 1e-300).any():",
+        "if (density <= 0.0).any():",
+        ("tests/test_fock.py::TestConditionFock::test_density_floor_sits_at_1e_300",),
+    ),
+    Mutant(
         "the decomposition's n_th clamp removed",
         "src/twinbeam/gaussian.py",
         "n_th = max(0.0, 2.0 * s_min * s_max - 0.5)",

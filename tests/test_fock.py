@@ -242,6 +242,14 @@ class TestConditionFock:
         with pytest.raises(DegenerateOutcomeError, match=r"record x=40\.0 has"):
             condition_fock(twb_fock(0.3, 20), [[0.1, 0.2], [40.0, 50.0]], 0.8, gauss_hermite_grid(4))
 
+    def test_density_floor_sits_at_1e_300(self):
+        # x = 19 has density ~1e-290 and conditions; x = 19.5 has ~8e-307, not zero, and does not
+        density, rows = condition_fock(twb_fock(0.3, 20), 19.0, 1.0)
+        assert 1e-300 < density < 1e-280
+        assert moments_fock(rows).purity == pytest.approx(1.0)
+        with pytest.raises(DegenerateOutcomeError, match=r"record x=19\.5 has"):
+            condition_fock(twb_fock(0.3, 20), 19.5, 1.0)
+
     def test_validation(self):
         single = FockVector(cutoff=2, amps=np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):

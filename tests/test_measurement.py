@@ -32,8 +32,9 @@ from twinbeam import (
     twb,
     vacuum,
 )
+from twinbeam import measurement
 from twinbeam.channels import LossChannel
-from twinbeam.gaussian import GaussianOperator
+from twinbeam.gaussian import GaussianOperator, lower_factor
 
 N_GRID = (0.1, 1.0, 5.0, 20.0)
 X_GRID = (-2.0, 0.0, 0.7, 1.3)
@@ -513,6 +514,68 @@ class TestBatchedRecords:
             sample_double_homodyne(family, self.SETTING, seed=1)
         with pytest.raises(ValueError):
             DoubleHomodyneSetting(reference=coherent(np.array([0.0, 1.0j])))
+
+
+class TestReusedUpdate:
+    """The record-independent part of the update, kept on the setting for
+    the state factor it came from."""
+
+    LOSSY = evolve(twb(0.7), LossChannel(0.3, 0.5))
+    SQUEEZED = squeeze(twb(1.1), 1, 0.4, 0.3)
+    # detector -> (setting class, its arguments, a record)
+    DETECTORS = {
+        "homodyne": (HomodyneSetting, (0, 0.7, 0.8), 0.3),
+        "double_homodyne": (DoubleHomodyneSetting, (SQUEEZED_REFERENCE, 0.8), 0.5 - 0.4j),
+    }
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_alternating_states_match_fresh_settings(self, detector):
+        # two states in turn on one setting, a sampler on a displaced copy and
+        # a displaced family, each sharing a factor with one of them: every
+        # call equals, bit for bit, the same call on a setting of its own
+        kind, args, record = self.DETECTORS[detector]
+        shared = kind(*args)
+        family = displace(self.LOSSY, 1, np.array([0.0, 0.4 - 1.0j, -2.0 + 0.3j]))
+        calls = (
+            lambda s: condition_homodyne(self.LOSSY, s, record),
+            lambda s: condition_homodyne(self.SQUEEZED, s, record),
+            lambda s: sample_homodyne(displace(self.SQUEEZED, 1, 0.2j), s, seed=3, n_samples=5),
+            lambda s: condition_homodyne(family, s, record),
+            lambda s: condition_homodyne(self.LOSSY, s, [record, 2 * record]),
+            lambda s: homodyne_density(self.SQUEEZED, s, record),
+            lambda s: condition_homodyne(self.SQUEEZED, s, record),
+        )
+        for call in calls * 2:
+            got, want = call(shared), call(kind(*args))
+            if isinstance(got, ConditionalOutcome):
+                np.testing.assert_array_equal(got.state.mean, want.state.mean)
+                np.testing.assert_array_equal(got.state.factor, want.state.factor)
+                got, want = got.probability_density, want.probability_density
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_kept_arrays_are_read_only(self, detector):
+        kind, args, record = self.DETECTORS[detector]
+        setting = kind(*args)
+        condition_homodyne(self.LOSSY, setting, record)
+        _, _, gain, s_factor, factor = measurement._update(self.LOSSY, setting)
+        for array in (gain, s_factor, factor):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_one_qr_for_many_records(self, detector, monkeypatch):
+        kind, args, record = self.DETECTORS[detector]
+        setting, pre_arrays = kind(*args), []
+
+        def counted(pre_array):
+            pre_arrays.append(pre_array)
+            return lower_factor(pre_array)
+
+        monkeypatch.setattr(measurement, "lower_factor", counted)
+        for k in range(100):
+            assert condition_homodyne(self.LOSSY, setting, record * (1 + k / 50)).probability_density > 0
+        assert len(pre_arrays) == 1
 
 
 def _record_batch():
