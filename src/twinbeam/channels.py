@@ -32,10 +32,8 @@ class LossChannel:
     def __post_init__(self):
         require_finite_nonnegative(self.gamma_t, "gamma_t")
         m = self.thermal_photons  # 2M + 1 is finite exactly where M < 2^1023: M <= float max / 2
-        valid = (0.0 <= m) & (m < 2.0**1023)
-        if not (valid.all() if isinstance(valid, np.ndarray) else valid):
-            require_finite_nonnegative(m, "thermal_photons")
-            raise ValueError("the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
+        require_finite_nonnegative(m, "thermal_photons")
+        require_all(m < 2.0**1023, "the channel noise (2M + 1)(1 - e^{-gamma_t}) overflows")
 
     @property
     def transmission(self) -> float:

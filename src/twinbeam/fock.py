@@ -1,12 +1,12 @@
 """Truncated number-basis brute force used to validate the Gaussian engine.
 
-Everything here is deliberately independent of the phase-space modules:
-states are amplitude arrays over number states, quadrature projections
-use the oscillator wavefunctions, and inefficiency is handled by
+It shares with the phase-space modules only ``gaussian``'s count and
+efficiency checks and its UnphysicalStateError, no state, map or
+measurement: states are amplitude arrays over number states, quadrature
+projections use the oscillator wavefunctions, and inefficiency is
 Gauss-Hermite smearing of the ideal record, so a conditional state is
-amplitude rows f_k, one per node: rho = sum_k |f_k><f_k|.  Agreement
-between this route and the Gaussian closed forms is the package's
-strongest correctness evidence.
+amplitude rows f_k, one per node: rho = sum_k |f_k><f_k|.  Agreement with
+the Gaussian closed forms is the package's strongest correctness evidence.
 
 The same quadrature convention applies: x = (a + a^dag)/2, so the
 ground-state wavefunction is (2/pi)^{1/4} e^{-x^2} with variance 1/4.

@@ -84,8 +84,7 @@ class HomodyneSetting:
     def __post_init__(self):
         require_count(self.mode, "mode")
         phase = float(self.phase)
-        if not math.isfinite(phase):
-            raise ValueError("phase must be finite")
+        require_all(math.isfinite(phase), "phase must be finite")
         efficiency = require_detector_efficiency(self.efficiency, "efficiency")
         object.__setattr__(self, "efficiency", efficiency)
         object.__setattr__(self, "phase", phase % (2.0 * math.pi))

@@ -38,8 +38,8 @@ from .gaussian import (
 from .measurement import (
     DoubleHomodyneSetting,
     as_generator,
-    double_homodyne_condition,
-    sample_double_homodyne,
+    condition_homodyne,
+    sample_homodyne,
 )
 
 # Records per block of teleport_monte_carlo: a block's temporaries, a few
@@ -210,8 +210,8 @@ def teleport_monte_carlo(
     fidelities = np.empty(n_samples)
     for start in range(0, n_samples, MC_BLOCK):
         block = fidelities[start : start + MC_BLOCK]
-        alphas = sample_double_homodyne(resource, setting, rng, len(block))
+        alphas = sample_homodyne(resource, setting, rng, len(block))
         # keep only the states: the outcome's lazy density holds every record's shift
-        states = double_homodyne_condition(resource, setting, alphas).state
+        states = condition_homodyne(resource, setting, alphas).state
         block[:] = overlap(displace(states, 0, -alphas), reference)
     return float(np.mean(fidelities))

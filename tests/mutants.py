@@ -2,15 +2,16 @@
 
     python tests/mutants.py [pytest options]
 
-A mutant is one exact piece of text in one source file and its
-replacement.  For each, ``src``, ``tests`` and ``pyproject.toml`` are copied
-into a fresh temporary directory, the text is replaced there, and pytest
-runs the mutant's named tests in the copy with the given options (CI passes
-``-x`` and a fixed ``--hypothesis-seed``).  The working tree is never
-written.  The run fails when a mutant's text does not occur exactly once,
-when a mutant survives (its tests pass), or when pytest ends in any other
-way than failed tests (a collection error, a timeout).  The unmutated copy
-runs every named test first and must pass, so a kill is the mutant's own.
+A mutant is one exact piece of text in one file and its replacement.
+For each, ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` are
+copied into a fresh temporary directory, the text is replaced there, and
+pytest runs the mutant's named tests in the copy with the given options
+(CI passes ``-x`` and a fixed ``--hypothesis-seed``).  The working tree
+is never written.  The run fails when a mutant's text does not occur
+exactly once, when a mutant survives (its tests pass), or when pytest
+ends in any other way than failed tests (a collection error, a timeout).
+The unmutated copy runs every named test first and must pass, so a kill
+is the mutant's own.
 
 Exact equivalents, such as another block size, are not listed: no test
 can kill them.  Only the standard library and pytest are used.
@@ -40,6 +41,7 @@ class Mutant(NamedTuple):
 
 GOLDEN = "tests/test_golden.py::test_table"
 RECORD_COVARIANCE = "tests/test_measurement.py::TestDoubleHomodyne::test_record_covariance"
+BAD_SPEC_FILE = "tests/test_cli.py::TestMain::test_bad_spec_file"
 
 MUTANTS = (
     Mutant(
@@ -60,6 +62,22 @@ MUTANTS = (
         "                    break\n"
         "                write(piece())\n",
         ("tests/test_cli.py::TestTwoWriters::test_the_parent_formats_before_it_waits",),
+    ),
+    Mutant(
+        "a spec range object's missing keys unchecked",
+        "src/twinbeam/cli.py",
+        "        if missing:\n"
+        "            raise ConfigurationError(f\"{flag} range object lacks {sorted(missing)}\")\n",
+        "",
+        (BAD_SPEC_FILE,),
+    ),
+    Mutant(
+        "a spec file's JSON error reported in JSON's own words",
+        "src/twinbeam/cli.py",
+        "    except json.JSONDecodeError as exc:\n"
+        "        raise ConfigurationError(f\"spec file is not valid JSON: {exc}\") from None\n",
+        "",
+        (BAD_SPEC_FILE,),
     ),
     Mutant(
         "CSV floats to 16 digits",
@@ -174,6 +192,13 @@ MUTANTS = (
         "PHYSICALITY_ROUNDING = 4.0",
         ("tests/test_gaussian.py::TestSymplectic::test_tolerance_edge",),
     ),
+    Mutant(
+        "a printed README figure off in its last digit",
+        "README.md",
+        ">>> round(fidelity_coherent(config), 6)   # 1/(1 + kappa^2)\n0.551062\n",
+        ">>> round(fidelity_coherent(config), 6)   # 1/(1 + kappa^2)\n0.551063\n",
+        ("tests/test_readme.py",),
+    ),
     *(
         Mutant(f"oracle-check's {name} 100x looser", "src/twinbeam/cli.py", f"{name} = {value}\n",
                f"{name} = 100 * {value}\n", (f"tests/test_cli.py::TestGateEdges::{test}",))
@@ -196,7 +221,8 @@ def _copy(into: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, into / name, ignore=skip)
-    shutil.copy(ROOT / "pyproject.toml", into)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, into)
 
 
 def _pytest(copy: Path, tests, options) -> tuple[int, str]:

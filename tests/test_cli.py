@@ -574,29 +574,32 @@ class TestMain:
 
     def test_bad_spec_file(self, tmp_path, capsys, monkeypatch):
         broken = tmp_path / "broken.json"
-        broken.write_text("[1, 2, 3]")
-        assert main(["remote-prep", "--spec", str(broken)]) == 2
-        missing = tmp_path / "missing.json"
-        assert main(["remote-prep", "--spec", str(missing)]) == 2
+        for text, message in [("[1, 2, 3]", "spec file must hold a JSON object"), ("{", "spec file is not valid JSON")]:
+            broken.write_text(text)
+            assert main(["remote-prep", "--spec", str(broken)]) == 2
+            assert message in capsys.readouterr().err
+        assert main(["remote-prep", "--spec", str(tmp_path / "missing.json")]) == 2
+        assert "cannot read spec file" in capsys.readouterr().err
         # each file would give a table if its one bad entry were ignored or coerced
         monkeypatch.chdir(tmp_path)
         base = {"teleport": ["--r", "0.5"], "oracle-check": ["--lam", "0.3", "--eta", "1", "--x", "0"]}
-        for command, payload in [
-            ("teleport", {"gamma-t": 0.3}),  # a flag is --gamma-t, its key gamma_t
-            ("teleport", {"seed": 5}),
-            ("teleport", {"spec": "other.json"}),
-            ("oracle-check", {"cutoff": 30.9}),
-            ("oracle-check", {"cutoff": 40.0}),  # as --cutoff 40.0
-            ("oracle-check", {"nodes": True}),
-            ("teleport", {"format": "xml"}),
-            ("teleport", {"out": 5}),
-            ("teleport", {"eta": None}),
-            ("teleport", {"eta": [0.9, "1"]}),
-            ("teleport", {"eta": {"start": 0.5, "stop": 1, "count": 2.0}}),
+        for command, payload, message in [
+            ("teleport", {"gamma-t": 0.3}, "keys ['gamma-t'] name no flag"),  # its key is gamma_t
+            ("teleport", {"seed": 5}, "keys ['seed'] name no flag"),
+            ("teleport", {"spec": "other.json"}, "keys ['spec'] name no flag"),
+            ("oracle-check", {"cutoff": 30.9}, "--cutoff expects an integer; got 30.9"),
+            ("oracle-check", {"cutoff": 40.0}, "--cutoff expects an integer; got 40.0"),  # as --cutoff 40.0
+            ("oracle-check", {"nodes": True}, "--nodes expects an integer; got True"),
+            ("teleport", {"format": "xml"}, "--format expects csv or json"),
+            ("teleport", {"out": 5}, "--out expects a path"),
+            ("teleport", {"eta": None}, "--eta expects numbers; got None"),
+            ("teleport", {"eta": [0.9, "1"]}, "--eta expects numbers; got '1'"),
+            ("teleport", {"eta": {"start": 0.5, "stop": 1, "count": 2.0}}, "--eta count expects an integer"),
+            ("teleport", {"eta": {"start": 0.5, "stop": 1}}, "--eta range object lacks ['count']"),
         ]:
             broken.write_text(json.dumps(payload))
             assert main([command, *base[command], "--spec", str(broken)]) == 2, payload
-            assert "error" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [broken]
 
     @pytest.mark.parametrize(

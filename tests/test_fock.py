@@ -11,6 +11,7 @@ from twinbeam import (
     DegenerateOutcomeError,
     FockVector,
     HomodyneSetting,
+    QuadratureGrid,
     UnphysicalStateError,
     condition_fock,
     condition_homodyne,
@@ -177,6 +178,11 @@ class TestQuadratureGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_hermite_grid(0)
+
+    @pytest.mark.parametrize("points, weights", [([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]]), ([], [])])
+    def test_points_and_weights_must_match(self, points, weights):
+        with pytest.raises(ValueError, match="points and weights must be matching 1-D arrays"):
+            QuadratureGrid(points=points, weights=weights)
 
     @pytest.mark.parametrize("n_nodes", [2.5, 3.0, True, "4"])
     def test_node_count_must_be_an_integer(self, n_nodes):
